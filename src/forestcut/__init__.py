@@ -85,11 +85,6 @@ from .verify import (
     audit_claim_inequalities,
     canonical_form,
     canonical_graph6,
-    check_chen_yu,
-    check_conjecture1,
-    check_conjecture2,
-    check_theorem1_avoiding,
-    check_theorem2,
     enumerate_connected_graphs,
     enumerate_graphs,
     figure1_census,

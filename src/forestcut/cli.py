@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
-from fractions import Fraction
 
 from . import constructions, cuts, lp, planar, verify
 from .errors import ForestCutError
@@ -20,36 +18,9 @@ from .graph import (
     iter_bits,
     parse_edge_list,
     parse_graph6,
-    vertex_connectivity_at_least,
     write_edge_list,
     write_graph6,
 )
-
-_THRESHOLD_RE = re.compile(
-    r"^\s*([+-]?\d+(?:/\d+)?)\s*\*?\s*n\s*(?:([+-])\s*(\d+(?:/\d+)?))?\s*$"
-)
-
-
-def parse_threshold(text: str) -> tuple[Fraction, Fraction]:
-    """Parse a density expression like ``11/5n-18/5`` into (slope, offset)."""
-    m = _THRESHOLD_RE.match(text)
-    if not m:
-        raise ValueError(f"bad threshold expression {text!r}; expected a/b*n-c/d")
-    slope = Fraction(m.group(1))
-    offset = Fraction(0)
-    if m.group(2):
-        offset = Fraction(m.group(3))
-        if m.group(2) == "-":
-            offset = -offset
-    return slope, offset
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FORESTCUT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -61,8 +32,10 @@ def _read_text(path: str) -> str:
 def _load_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
     if fmt == "graph6":
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return parse_graph6(first)
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if len(lines) != 1:
+            raise ValueError(f"expected one graph6 line, got {len(lines)}")
+        return parse_graph6(lines[0])
     return parse_edge_list(text)
 
 
@@ -96,18 +69,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    bound = parse_threshold(args.max_edges_lt) if args.max_edges_lt else None
+    density = verify.Density.parse(args.max_edges_lt) if args.max_edges_lt else None
     for g in verify.enumerate_connected_graphs(args.n):
-        if args.min_connectivity and not (
-            g.order > args.min_connectivity
-            and vertex_connectivity_at_least(g, args.min_connectivity)
-        ):
-            continue
-        if bound is not None:
-            slope, offset = bound
-            if Fraction(g.size) >= slope * g.order + offset:
-                continue
-        _emit_graph(g, args.format)
+        if verify.sparse_k_connected(g, density, args.min_connectivity):
+            _emit_graph(g, args.format)
     return 0
 
 
@@ -211,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin-n", type=int, default=None)
     group.add_argument("--input", default=None, help="graph6 corpus file")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=os.environ.get("FORESTCUT_WORKERS", "1"))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit one of the named constructions")

@@ -16,6 +16,7 @@ from .errors import (
     UnknownFixtureError,
 )
 from .graph import Graph, build_graph
+from .planar import icosahedron_triangulation, k4_triangulation, octahedron_triangulation
 
 
 def cycle_diagonals_universal(k: int) -> Graph:
@@ -106,10 +107,6 @@ def clique_glue(g1: Graph, g2: Graph, spec: GlueSpec) -> Graph:
     return build_graph(g1.order + g2.order - t, edges)
 
 
-def _k4() -> Graph:
-    return build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-
-
 def _k33() -> Graph:
     return build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
 
@@ -117,23 +114,6 @@ def _k33() -> Graph:
 def _prism() -> Graph:
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
     return build_graph(6, edges)
-
-
-def _octahedron() -> Graph:
-    edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3]
-    return build_graph(6, edges)
-
-
-_ICOSAHEDRON_EDGES = (
-    (0, 2), (0, 4), (0, 6), (0, 8), (0, 9), (1, 3), (1, 4), (1, 6), (1, 10),
-    (1, 11), (2, 5), (2, 7), (2, 8), (2, 9), (3, 5), (3, 7), (3, 10), (3, 11),
-    (4, 6), (4, 8), (4, 10), (5, 7), (5, 8), (5, 10), (6, 9), (6, 11), (7, 9),
-    (7, 11), (8, 10), (9, 11),
-)
-
-
-def _icosahedron() -> Graph:
-    return build_graph(12, list(_ICOSAHEDRON_EDGES))
 
 
 def _wheel5() -> Graph:
@@ -150,11 +130,11 @@ _FIG1_C = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 5), (5, 3), (2, 6), (6, 1), (0, 4
 _FIG1_D = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 6), (6, 4), (3, 6), (6, 5), (5, 2), (1, 5)]
 
 _FIXTURES = {
-    "k4": _k4,
+    "k4": lambda: k4_triangulation().graph,
     "k33": _k33,
     "prism": _prism,
-    "octahedron": _octahedron,
-    "icosahedron": _icosahedron,
+    "octahedron": lambda: octahedron_triangulation().graph,
+    "icosahedron": lambda: icosahedron_triangulation().graph,
     "wheel5": _wheel5,
     "fig1_a": lambda: build_graph(6, _FIG1_A),
     "fig1_b": lambda: build_graph(6, _FIG1_B),

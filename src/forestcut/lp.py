@@ -22,11 +22,6 @@ from .errors import (
 ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=None)
-def _frac(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
-
-
 class LpRow(NamedTuple):
     row_id: str
     coeffs: dict[str, Fraction]
@@ -102,7 +97,7 @@ def build_primal(n: int) -> LpInstance:
         rows.append(
             LpRow(
                 f"deg{j}-capacity",
-                {f"n_{j}": _frac(j), f"n_4^{j}": _frac(-1)},
+                {f"n_{j}": Fraction(j), f"n_4^{j}": Fraction(-1)},
                 ">=",
                 ZERO,
             )
@@ -119,15 +114,15 @@ def build_primal(n: int) -> LpInstance:
 
 @lru_cache(maxsize=None)
 def _dual_degree_row(j: int) -> LpRow:
-    one = _frac(1)
+    one = Fraction(1)
     return LpRow(
-        f"n_{j}", {"x_1": one, "x_4": _frac(j), f"y_{j}": _frac(j)}, "<=", _frac(j, 2)
+        f"n_{j}", {"x_1": one, "x_4": Fraction(j), f"y_{j}": Fraction(j)}, "<=", Fraction(j, 2)
     )
 
 
 @lru_cache(maxsize=None)
 def _dual_split_row(j: int) -> LpRow:
-    neg = _frac(-1)
+    neg = Fraction(-1)
     return LpRow(f"n_4^{j}", {"x_2": neg, f"y_{j}": neg}, "<=", ZERO)
 
 
@@ -138,21 +133,21 @@ def build_dual(n: int) -> LpInstance:
     variables = tuple(
         ["x_1", "x_2", "x_3", "x_4"] + [f"y_{j}" for j in range(5, n)]
     )
-    one = _frac(1)
-    neg = _frac(-1)
+    one = Fraction(1)
+    neg = Fraction(-1)
     rows = [
-        LpRow("n_4", {"x_1": one, "x_2": one, "x_4": _frac(-2)}, "<=", _frac(2)),
-        LpRow("n_5", {"x_1": one, "x_4": _frac(5), "y_5": _frac(4)}, "<=", _frac(5, 2)),
-        LpRow("n_6", {"x_1": one, "x_4": _frac(6), "y_6": _frac(6)}, "<=", _frac(3)),
+        LpRow("n_4", {"x_1": one, "x_2": one, "x_4": Fraction(-2)}, "<=", Fraction(2)),
+        LpRow("n_5", {"x_1": one, "x_4": Fraction(5), "y_5": Fraction(4)}, "<=", Fraction(5, 2)),
+        LpRow("n_6", {"x_1": one, "x_4": Fraction(6), "y_6": Fraction(6)}, "<=", Fraction(3)),
     ]
     rows.extend(_dual_degree_row(j) for j in range(7, n))
-    rows.append(LpRow("n_4^5", {"x_2": neg, "y_5": _frac(-3)}, "<=", ZERO))
+    rows.append(LpRow("n_4^5", {"x_2": neg, "y_5": Fraction(-3)}, "<=", ZERO))
     rows.append(LpRow("n_4^6", {"x_2": neg, "x_3": one}, "<=", ZERO))
     rows.extend(_dual_split_row(j) for j in range(7, n))
     rows.append(
         LpRow("n_4^6'", {"y_5": neg, "y_6": neg, "x_3": neg}, "<=", ZERO)
     )
-    rows.append(LpRow("n_4^6''", {"y_6": _frac(-2), "x_3": neg}, "<=", ZERO))
+    rows.append(LpRow("n_4^6''", {"y_6": Fraction(-2), "x_3": neg}, "<=", ZERO))
     return LpInstance(
         name=f"profile-dual-{n}",
         sense="max",

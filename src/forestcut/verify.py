@@ -3,20 +3,21 @@
 Graphs up to 7 vertices are enumerated one representative per isomorphism
 class (canonical form: minimum adjacency bit string over all labelings
 compatible with an iterated degree refinement).  Larger corpora arrive as
-graph6 files.  Each checker scans a corpus with a pure per-graph predicate
-and reports counterexamples in canonical graph6, so reports are identical
-no matter how many workers scanned the corpus.
+graph6 files.  Each claim is one row of ``CLAIMS``; ``run_check`` scans a
+corpus with it and reports counterexamples in canonical graph6, so reports
+are identical no matter how many workers scanned the corpus.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
 from .errors import (
@@ -91,19 +92,19 @@ def _canonicalize(g: Graph) -> tuple[tuple[int, int], tuple[int, ...]]:
     return (n, best_bits), best_label
 
 
-def canonical_key(g: Graph) -> tuple[int, int]:
-    return _canonicalize(g)[0]
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Isomorphic copy relabeled into canonical position."""
-    _, label = _canonicalize(g)
+def _relabel(g: Graph, label: tuple[int, ...]) -> Graph:
+    """Copy of g in which vertex label[i] becomes vertex i."""
     pos = {v: i for i, v in enumerate(label)}
     adj = [0] * g.order
     for v in range(g.order):
         for u in iter_bits(g.adj[v]):
             adj[pos[v]] |= 1 << pos[u]
     return Graph(g.order, adj)
+
+
+def canonical_form(g: Graph) -> Graph:
+    """Isomorphic copy relabeled into canonical position."""
+    return _relabel(g, _canonicalize(g)[1])
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -125,12 +126,7 @@ def _graph_classes(n: int) -> tuple[Graph, ...]:
             h = add_vertex(g, s)
             key, label = _canonicalize(h)
             if key not in out:
-                pos = {v: i for i, v in enumerate(label)}
-                adj = [0] * n
-                for v in range(n):
-                    for u in iter_bits(h.adj[v]):
-                        adj[pos[v]] |= 1 << pos[u]
-                out[key] = Graph(n, adj)
+                out[key] = _relabel(h, label)
     return tuple(out[k] for k in sorted(out))
 
 
@@ -184,66 +180,99 @@ def ingest_graph6(path: str) -> Graph6Corpus:
 
 
 # ---------------------------------------------------------------------------
-# claim predicates (True = the graph is a counterexample)
+# densities and claims
+
+_DENSITY_RE = re.compile(
+    r"^\s*([+-]?\d+)(?:/(\d+))?\s*\*?\s*n\s*(?:([+-])\s*(\d+)(?:/(\d+))?)?\s*$"
+)
 
 
-def _flags_conjecture1(g: Graph) -> bool:
-    if g.order < 3:
+@dataclass(frozen=True)
+class Density:
+    """The edge bound ``c*m < a*n + b`` in integers, with c > 0."""
+
+    a: int
+    b: int
+    c: int = 1
+
+    def admits(self, n: int, m: int) -> bool:
+        return self.c * m < self.a * n + self.b
+
+    @classmethod
+    def parse(cls, text: str) -> Density:
+        """Parse a bound on m like ``11/5n-18/5``, ``3n-6`` or ``7/3n``."""
+        match = _DENSITY_RE.match(text)
+        if not match:
+            raise ValueError(f"bad threshold expression {text!r}; expected a/b*n-c/d")
+        slope, slope_den, sign, offset, offset_den = match.groups()
+        slope_den = int(slope_den or 1)
+        offset_den = int(offset_den or 1)
+        if slope_den == 0 or offset_den == 0:
+            raise ValueError(f"zero denominator in threshold expression {text!r}")
+        c = math.lcm(slope_den, offset_den)
+        b = int(offset or 0) * (c // offset_den)
+        return cls(int(slope) * (c // slope_den), -b if sign == "-" else b, c)
+
+
+def sparse_k_connected(g: Graph, density: Density | None, k: int) -> bool:
+    """True when g is below ``density`` (if one is given) and k-connected.
+
+    k-connected means more than k vertices and no vertex cut of fewer than
+    k vertices; k = 0 asks nothing, so disconnected graphs pass it.
+    """
+    if k < 0:
+        raise ValueError(f"connectivity must be at least 0, got {k}")
+    if density is not None and not density.admits(g.order, g.size):
         return False
-    if g.size >= 3 * g.order - 6:
-        return False
-    return find_forest_cut(g) is None
+    return not k or (g.order > k and is_connected(g) and vertex_connectivity_at_least(g, k))
 
 
-def _flags_theorem2(g: Graph) -> bool:
-    if g.order < 3:
-        return False
-    if Fraction(g.size) >= Fraction(11, 5) * g.order - Fraction(18, 5):
-        return False
-    return find_forest_cut(g) is None
+@dataclass(frozen=True)
+class Claim:
+    """A row of ``CLAIMS``: every graph of order at least ``min_order``, below
+    ``density`` and ``min_connectivity``-connected satisfies ``holds``, and
+    any such graph that does not is a counterexample.
+
+    Every row asks for at least connectivity 1.  A disconnected graph is
+    scanned but never flagged, because the empty set separates it and is both
+    independent and a forest.
+    """
+
+    density: Density
+    min_order: int
+    min_connectivity: int
+    holds: Callable[[Graph], bool]
+
+    def flags(self, g: Graph) -> bool:
+        return (
+            g.order >= self.min_order
+            and sparse_k_connected(g, self.density, self.min_connectivity)
+            and not self.holds(g)
+        )
 
 
-def _flags_chen_yu(g: Graph) -> bool:
-    if g.order < 3:
-        return False
-    if g.size >= 2 * g.order - 3:
-        return False
-    return find_independent_cut(g) is None
-
-
-def _flags_theorem1(g: Graph) -> bool:
-    if g.order < 3:
-        return False
-    if g.size >= 2 * g.order - 3:
-        return False
-    if not vertex_connectivity_at_least(g, 2):
-        return False
-    return any(
-        find_independent_cut_avoiding(g, u) is None for u in range(g.order)
-    )
-
-
-def _flags_conjecture2(g: Graph) -> bool:
+CLAIMS: dict[str, Claim] = {
+    # Graphs with m < 3n-6 and no forest cut.
+    "conjecture1": Claim(Density(3, -6), 3, 1, lambda g: find_forest_cut(g) is not None),
+    # Graphs with m < 11n/5 - 18/5 and no forest cut (must stay empty).
+    "theorem2": Claim(Density(11, -18, 5), 3, 1, lambda g: find_forest_cut(g) is not None),
+    # Graphs with m < 2n-3 and no independent cut (must stay empty).
+    "chenyu": Claim(Density(2, -3), 3, 1, lambda g: find_independent_cut(g) is not None),
+    # 2-connected graphs with m < 2n-3 where some vertex cannot be avoided.
+    "theorem1": Claim(
+        Density(2, -3), 3, 2,
+        lambda g: all(find_independent_cut_avoiding(g, u) is not None for u in range(g.order)),
+    ),
+    # 3-connected, cyclic-neighborhood graphs with m < 7(n-1)/3.
     # The density target 7(n-1)/3 exceeds 3n-6 below order 6, where
     # near-complete graphs fall under it for free; the sweep starts at 6.
-    if g.order < 6:
-        return False
-    if not vertex_connectivity_at_least(g, 3):
-        return False
-    if any(induced_is_forest(g, g.adj[v]) for v in range(g.order)):
-        return False
-    return Fraction(g.size) < Fraction(7, 3) * (g.order - 1)
-
-
-_CLAIM_PREDICATES = {
-    "conjecture1": _flags_conjecture1,
-    "theorem2": _flags_theorem2,
-    "chenyu": _flags_chen_yu,
-    "theorem1": _flags_theorem1,
-    "conjecture2": _flags_conjecture2,
+    "conjecture2": Claim(
+        Density(7, -7, 3), 6, 3,
+        lambda g: any(induced_is_forest(g, g.adj[v]) for v in range(g.order)),
+    ),
 }
 
-CLAIM_NAMES = tuple(sorted(_CLAIM_PREDICATES))
+CLAIM_NAMES = tuple(sorted(CLAIMS))
 
 
 @dataclass(frozen=True)
@@ -262,14 +291,14 @@ class CheckReport:
 
 def _scan_chunk(args: tuple[str, list[Graph]]) -> list[str]:
     claim, graphs = args
-    predicate = _CLAIM_PREDICATES[claim]
-    return [canonical_graph6(g) for g in graphs if predicate(g)]
+    flags = CLAIMS[claim].flags
+    return [canonical_graph6(g) for g in graphs if flags(g)]
 
 
 def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
               workers: int = 1) -> CheckReport:
     """Scan a corpus for counterexamples; result independent of worker count."""
-    if claim not in _CLAIM_PREDICATES:
+    if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIM_NAMES}")
     graphs = list(corpus)
     if isinstance(corpus, Graph6Corpus):
@@ -288,36 +317,6 @@ def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
                        perf_counter() - start)
 
 
-def check_conjecture1(corpus: Iterable[Graph], description: str = "corpus",
-                      workers: int = 1) -> CheckReport:
-    """Graphs with m < 3n-6 and no forest cut."""
-    return run_check("conjecture1", corpus, description, workers)
-
-
-def check_theorem2(corpus: Iterable[Graph], description: str = "corpus",
-                   workers: int = 1) -> CheckReport:
-    """Graphs with m < 11n/5 - 18/5 and no forest cut (must stay empty)."""
-    return run_check("theorem2", corpus, description, workers)
-
-
-def check_chen_yu(corpus: Iterable[Graph], description: str = "corpus",
-                  workers: int = 1) -> CheckReport:
-    """Graphs with m < 2n-3 and no independent cut (must stay empty)."""
-    return run_check("chenyu", corpus, description, workers)
-
-
-def check_theorem1_avoiding(corpus: Iterable[Graph], description: str = "corpus",
-                            workers: int = 1) -> CheckReport:
-    """2-connected graphs with m < 2n-3 where some vertex cannot be avoided."""
-    return run_check("theorem1", corpus, description, workers)
-
-
-def check_conjecture2(corpus: Iterable[Graph], description: str = "corpus",
-                      workers: int = 1) -> CheckReport:
-    """3-connected, cyclic-neighborhood graphs with m < 7(n-1)/3."""
-    return run_check("conjecture2", corpus, description, workers)
-
-
 # ---------------------------------------------------------------------------
 # census and audit
 
@@ -326,12 +325,8 @@ def figure1_census(n: int) -> list[Graph]:
     """All 3-connected graphs of order n in {6, 7} with m < 11n/5 - 18/5."""
     if n not in (6, 7):
         raise UnsupportedCensusOrderError(f"census is defined for n in {{6, 7}}, got {n}")
-    bound = Fraction(11, 5) * n - Fraction(18, 5)
-    return [
-        g
-        for g in enumerate_connected_graphs(n)
-        if Fraction(g.size) < bound and vertex_connectivity_at_least(g, 3)
-    ]
+    theorem2 = CLAIMS["theorem2"].density
+    return [g for g in enumerate_connected_graphs(n) if sparse_k_connected(g, theorem2, 3)]
 
 
 @dataclass(frozen=True)
@@ -374,7 +369,7 @@ def audit_claim_inequalities(g: Graph) -> AuditRecord:
         for v in range(n)
         if degs[v] == 5
     )
-    four_connected = n >= 5 and is_connected(g) and vertex_connectivity_at_least(g, 4)
+    four_connected = sparse_k_connected(g, None, 4)
     return AuditRecord(
         four_connected=four_connected,
         partition_row_deg4=profile.partition_valid and n4 == split_total,

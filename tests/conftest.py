@@ -15,6 +15,12 @@ CENSUS7_NONPLANAR_EDGES = (
 )
 
 
+# The 3-connected order-8 graphs whose every neighborhood contains a cycle and
+# with m < 7(n-1)/3, so conjecture2 as encoded flags them; each has a forest
+# cut.  Compare them through canonical_graph6, not as literal strings.
+ORDER8_CONJECTURE2_FLAGS = ("GJ]KlK", "GJem^_", "GLYR[{", "GxSW~K")
+
+
 def census7_expected() -> list[Graph]:
     """The expected 7-vertex census: fig1_c, fig1_d, then the non-planar graph."""
     return [fixture("fig1_c"), fixture("fig1_d"), build_graph(7, CENSUS7_NONPLANAR_EDGES)]

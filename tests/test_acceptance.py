@@ -48,12 +48,9 @@ from forestcut.planar import (
 )
 from forestcut.verify import (
     canonical_graph6,
-    check_chen_yu,
-    check_conjecture1,
-    check_conjecture2,
-    check_theorem2,
     enumerate_connected_graphs,
     figure1_census,
+    run_check,
 )
 from conftest import census7_expected
 from test_lp import enumerate_basic_feasible_minimum
@@ -145,17 +142,11 @@ def test_criterion_3_primal_confirmation():
 
 def test_criterion_4_small_order_sweeps(small_corpus):
     with criterion(4, "claim sweeps over all connected graphs n<=7", 1800):
-        checks = {
-            "theorem2": check_theorem2,
-            "chenyu": check_chen_yu,
-            "conjecture1": check_conjecture1,
-            "conjecture2": check_conjecture2,
-        }
-        for name, check in checks.items():
-            sequential = check(small_corpus, "builtin-n<=7", workers=1)
+        for name in ("theorem2", "chenyu", "conjecture1", "conjecture2"):
+            sequential = run_check(name, small_corpus, "builtin-n<=7", workers=1)
             assert sequential.scanned == 996
             assert sequential.counterexamples == (), (name, sequential.counterexamples)
-            parallel = check(small_corpus, "builtin-n<=7", workers=8)
+            parallel = run_check(name, small_corpus, "builtin-n<=7", workers=8)
             assert parallel == sequential, name
 
 

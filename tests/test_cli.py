@@ -1,11 +1,11 @@
-from fractions import Fraction
-
 import pytest
 
+from conftest import ORDER8_CONJECTURE2_FLAGS
 from forestcut import cli
 from forestcut.constructions import conjecture2_family
 from forestcut.graph import parse_graph6, write_graph6
 from forestcut.planar import octahedron_triangulation, write_rotation_system
+from forestcut.verify import CLAIM_NAMES, Density, canonical_graph6
 
 
 def run_lines(capsys, argv):
@@ -16,14 +16,24 @@ def run_lines(capsys, argv):
 
 class TestThresholdGrammar:
     def test_known_densities(self):
-        assert cli.parse_threshold("11/5n-18/5") == (Fraction(11, 5), Fraction(-18, 5))
-        assert cli.parse_threshold("3n-6") == (Fraction(3), Fraction(-6))
-        assert cli.parse_threshold("2*n-3") == (Fraction(2), Fraction(-3))
-        assert cli.parse_threshold("7/3n") == (Fraction(7, 3), Fraction(0))
+        assert Density.parse("11/5n-18/5") == Density(11, -18, 5)
+        assert Density.parse("3n-6") == Density(3, -6, 1)
+        assert Density.parse("2*n-3") == Density(2, -3, 1)
+        assert Density.parse("7/3n") == Density(7, 0, 3)
 
     def test_bad_expression(self):
         with pytest.raises(ValueError):
-            cli.parse_threshold("n^2")
+            Density.parse("n^2")
+
+    @pytest.mark.parametrize("text", ["1/0n", "2n-3/0"])
+    def test_zero_denominator(self, capsys, text):
+        with pytest.raises(ValueError):
+            Density.parse(text)
+        code = cli.run(["enumerate", "--n", "4", "--max-edges-lt", text])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestCheckCommand:
@@ -62,6 +72,18 @@ class TestCheckCommand:
         assert "0" not in lines[0].split()[1:]
 
 
+class TestSingleGraphInput:
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    def test_more_than_one_graph6_line(self, capsys, tmp_path, command):
+        path = tmp_path / "two.g6"
+        path.write_text("C~\n\nCr\n")
+        code = cli.run([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "expected one graph6 line, got 2" in captured.err
+
+
 class TestEnumerateCommand:
     def test_census_via_filters(self, capsys):
         code, lines = run_lines(
@@ -72,6 +94,12 @@ class TestEnumerateCommand:
         assert code == 0
         assert len(lines) == 2
         assert all(parse_graph6(ln).order == 6 for ln in lines)
+
+    def test_negative_connectivity_exit_2(self, capsys):
+        # rejected even when the density filter would drop every graph first
+        argv = ["enumerate", "--n", "3", "--min-connectivity", "-1", "--max-edges-lt", "0n"]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:
@@ -91,6 +119,21 @@ class TestVerifyCommand:
         code, lines = run_lines(capsys, ["verify", "--claim", "chenyu", "--input", str(path)])
         assert code == 0
         assert lines[0].endswith(" 2 0")
+
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
+    def test_mixed_corpus_with_disconnected_graphs(self, capsys, tmp_path, claim):
+        # EwCW (two triangles) and Cg are disconnected: scanned, never flagged
+        path = tmp_path / "mixed.g6"
+        graphs = ["EwCW", "Cg", "DhC", "C~", "Cr", *ORDER8_CONJECTURE2_FLAGS]
+        path.write_text("".join(g6 + "\n" for g6 in graphs))
+        argv = ["verify", "--claim", claim, "--input", str(path), "--workers"]
+        code, lines = run_lines(capsys, argv + ["1"])
+        assert run_lines(capsys, argv + ["2"]) == (code, lines)
+        flagged = []
+        if claim == "conjecture2":
+            flagged = sorted(canonical_graph6(parse_graph6(g6)) for g6 in ORDER8_CONJECTURE2_FLAGS)
+        assert lines == [f"{claim} {path} 9 {len(flagged)}"] + flagged
+        assert code == (1 if flagged else 0)
 
     def test_exit_code_on_counterexample(self, capsys, monkeypatch, tmp_path):
         from forestcut import verify as verify_module
@@ -226,10 +269,15 @@ class TestDeterminism:
 
 
 class TestWorkersEnvironment:
-    def test_env_variable_sets_default(self, monkeypatch):
+    def test_env_variable_sets_default(self, capsys, monkeypatch):
+        argv = ["verify", "--claim", "chenyu", "--builtin-n", "4"]
         monkeypatch.setenv("FORESTCUT_WORKERS", "6")
-        assert cli._default_workers() == 6
+        assert cli._build_parser().parse_args(argv).workers == 6
         monkeypatch.setenv("FORESTCUT_WORKERS", "junk")
-        assert cli._default_workers() == 1
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'junk'" in captured.err
+        assert cli.run(argv + ["--workers", "1"]) == 0
         monkeypatch.delenv("FORESTCUT_WORKERS")
-        assert cli._default_workers() == 1
+        assert cli._build_parser().parse_args(argv).workers == 1

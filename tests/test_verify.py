@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import census7_expected
+from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
 from forestcut.errors import (
@@ -12,14 +12,13 @@ from forestcut.errors import (
 )
 from forestcut.graph import build_graph, is_connected, parse_graph6, write_graph6
 from forestcut.verify import (
+    CLAIM_NAMES,
+    CLAIMS,
+    Claim,
+    Density,
     audit_claim_inequalities,
     canonical_form,
     canonical_graph6,
-    check_chen_yu,
-    check_conjecture1,
-    check_conjecture2,
-    check_theorem1_avoiding,
-    check_theorem2,
     enumerate_connected_graphs,
     enumerate_graphs,
     figure1_census,
@@ -173,33 +172,33 @@ class TestIngest:
 class TestCheckers:
     def test_conjecture1_examples(self):
         octa = fixture("octahedron")
-        report = check_conjecture1([octa], "octa")
+        report = run_check("conjecture1", [octa], "octa")
         assert report.scanned == 1 and report.counterexamples == ()
         p3 = build_graph(3, [(0, 1), (1, 2)])
-        assert check_conjecture1([p3], "p3").counterexamples == ()
+        assert run_check("conjecture1", [p3], "p3").counterexamples == ()
 
     def test_theorem2_examples(self):
         fig1_c = fixture("fig1_c")
         assert Fraction(fig1_c.size) < Fraction(11, 5) * 7 - Fraction(18, 5)
         assert find_forest_cut(fig1_c) is not None
-        report = check_theorem2([fig1_c, fixture("k4")], "pair")
+        report = run_check("theorem2", [fig1_c, fixture("k4")], "pair")
         assert report.counterexamples == ()
 
     def test_chen_yu_prism_skipped(self):
         prism = fixture("prism")
         assert prism.size == 2 * prism.order - 3
         assert find_independent_cut(prism) is None
-        assert check_chen_yu([prism], "prism").counterexamples == ()
+        assert run_check("chenyu", [prism], "prism").counterexamples == ()
 
     def test_conjecture2_examples(self):
         g1 = conjecture2_family(1)
         octa = fixture("octahedron")
-        report = check_conjecture2([g1, octa], "pair")
+        report = run_check("conjecture2", [g1, octa], "pair")
         assert report.counterexamples == ()
 
     def test_theorem1_on_small_corpus(self):
         corpus = list(enumerate_connected_graphs(5))
-        assert check_theorem1_avoiding(corpus, "n5").counterexamples == ()
+        assert run_check("theorem1", corpus, "n5").counterexamples == ()
 
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
@@ -212,15 +211,14 @@ class TestCheckers:
         trimmed = delete_edge(fixture("prism"), 0, 3)
         assert trimmed.size < 2 * trimmed.order - 3
         assert find_independent_cut(trimmed) is not None
-        assert check_chen_yu([trimmed], "trimmed-prism").counterexamples == ()
+        assert run_check("chenyu", [trimmed], "trimmed-prism").counterexamples == ()
 
     def test_flagged_reports_sort_canonically(self, monkeypatch):
         # synthetic claim so the flagged path runs on a real corpus
         from forestcut import verify as verify_module
 
-        monkeypatch.setitem(
-            verify_module._CLAIM_PREDICATES, "evenorder", lambda g: g.order % 2 == 0
-        )
+        evenorder = Claim(Density(0, 10**6), 1, 0, lambda g: g.order % 2 == 1)
+        monkeypatch.setitem(verify_module.CLAIMS, "evenorder", evenorder)
         corpus = [fixture("prism"), fixture("fig1_c"), fixture("k4"), fixture("k33")]
         report = run_check("evenorder", corpus, "mixed")
         assert report.scanned == 4
@@ -233,14 +231,61 @@ class TestCheckers:
 
     def test_worker_invariance(self):
         corpus = list(enumerate_connected_graphs(6))
-        sequential = check_theorem2(corpus, "n6", workers=1)
-        parallel = check_theorem2(corpus, "n6", workers=4)
+        sequential = run_check("theorem2", corpus, "n6", workers=1)
+        parallel = run_check("theorem2", corpus, "n6", workers=4)
         assert sequential == parallel
         assert sequential.scanned == 112
 
     def test_report_format(self):
-        report = check_conjecture1([fixture("octahedron")], "octa")
+        report = run_check("conjecture1", [fixture("octahedron")], "octa")
         assert report.format() == "conjecture1 octa 1 0\n"
+
+
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
+    def test_order8_flags(self, claim):
+        graphs = [parse_graph6(s) for s in ORDER8_CONJECTURE2_FLAGS]
+        report = run_check(claim, graphs, "order8")
+        assert report.scanned == 4
+        flagged = sorted(canonical_graph6(g) for g in graphs) if claim == "conjecture2" else []
+        assert list(report.counterexamples) == flagged
+
+
+# the claims' densities as the Fraction formulas they are stated with
+FRACTION_DENSITIES = {
+    "conjecture1": (Fraction(3), Fraction(-6)),
+    "theorem2": (Fraction(11, 5), Fraction(-18, 5)),
+    "chenyu": (Fraction(2), Fraction(-3)),
+    "theorem1": (Fraction(2), Fraction(-3)),
+    "conjecture2": (Fraction(7, 3), Fraction(-7, 3)),
+}
+PARSED_DENSITIES = {
+    "11/5n-18/5": (Fraction(11, 5), Fraction(-18, 5)),
+    "3n-6": (Fraction(3), Fraction(-6)),
+    "2n-3": (Fraction(2), Fraction(-3)),
+    "7/3n-7/3": (Fraction(7, 3), Fraction(-7, 3)),
+    "5/2n": (Fraction(5, 2), Fraction(0)),
+}
+
+
+def _disagreements(density, slope, offset):
+    """(n, m) pairs where the integer test and m < slope*n + offset differ."""
+    out = []
+    for n in range(1, 65):
+        bound = slope * n + offset
+        for m in range(n * (n - 1) // 2 + 1):
+            if density.admits(n, m) != (Fraction(m) < bound):
+                out.append((n, m))
+    return out
+
+
+class TestDensity:
+    @pytest.mark.parametrize("claim", sorted(FRACTION_DENSITIES))
+    def test_claim_rows_match_fraction_formula(self, claim):
+        assert _disagreements(CLAIMS[claim].density, *FRACTION_DENSITIES[claim]) == []
+
+    @pytest.mark.parametrize("text", sorted(PARSED_DENSITIES))
+    def test_parsed_densities_match_fraction_formula(self, text):
+        assert _disagreements(Density.parse(text), *PARSED_DENSITIES[text]) == []
 
 
 class TestIngestedCorpusWorkflow:
@@ -250,11 +295,11 @@ class TestIngestedCorpusWorkflow:
         path = tmp_path / "larger.g6"
         path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
         corpus = ingest_graph6(str(path))
-        report = check_theorem2(corpus, workers=2)
+        report = run_check("theorem2", corpus, workers=2)
         assert report.scanned == 40
         assert report.counterexamples == ()
         assert report.corpus == str(path)
-        again = check_conjecture1(ingest_graph6(str(path)))
+        again = run_check("conjecture1", ingest_graph6(str(path)))
         assert again.scanned == 40
         assert again.counterexamples == ()
 
