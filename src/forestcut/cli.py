@@ -12,7 +12,6 @@ import os
 import sys
 
 from . import constructions, cuts, lp, planar, verify
-from .errors import ForestCutError
 from .graph import (
     Graph,
     iter_bits,
@@ -222,9 +221,6 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ForestCutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,12 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadParametersError,
-    KTooSmallError,
-    NotACliqueError,
-    UnknownFixtureError,
-)
 from .graph import Graph, build_graph
 from .planar import icosahedron_triangulation, k4_triangulation, octahedron_triangulation
 
@@ -26,7 +20,7 @@ def cycle_diagonals_universal(k: int) -> Graph:
     vertex cut must contain the universal vertex 2k.
     """
     if k < 2:
-        raise KTooSmallError("needs k >= 2")
+        raise ValueError("needs k >= 2")
     n = 2 * k + 1
     edges = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
     edges += [(i, i + k) for i in range(k)]
@@ -42,7 +36,7 @@ def k3_band_cycle(n: int, c: int) -> Graph:
     3-connected with the small side as its unique minimal forest cut.
     """
     if n <= 6 or not 3 <= c < n - 3:
-        raise BadParametersError(f"need n > 6 and 3 <= c < n-3, got n={n}, c={c}")
+        raise ValueError(f"need n > 6 and 3 <= c < n-3, got n={n}, c={c}")
     edges = [(a, b) for a in range(3) for b in range(3, n)]
     edges += [(3 + i, 3 + (i + 1) % c) for i in range(c)]
     return build_graph(n, edges)
@@ -55,7 +49,7 @@ def conjecture2_family(k: int) -> Graph:
     containing a cycle, meeting the 7(n-1)/3 density exactly.
     """
     if k < 1:
-        raise KTooSmallError("needs k >= 1")
+        raise ValueError("needs k >= 1")
     ring = 3 * k + 3
     n = ring + 1
     edges = [(i, (i + 1) % ring) for i in range(ring)]
@@ -73,20 +67,20 @@ class GlueSpec:
 
     def __post_init__(self):
         if len(self.clique_a) != len(self.clique_b):
-            raise BadParametersError("clique tuples must have equal length")
+            raise ValueError("clique tuples must have equal length")
         if not 2 <= len(self.clique_a) <= 4:
-            raise BadParametersError("gluing is along K2, K3, or K4 only")
+            raise ValueError("gluing is along K2, K3, or K4 only")
         if len(set(self.clique_a)) != len(self.clique_a) or len(set(self.clique_b)) != len(self.clique_b):
-            raise BadParametersError("clique tuples must not repeat vertices")
+            raise ValueError("clique tuples must not repeat vertices")
 
 
 def _check_clique(g: Graph, tup: tuple[int, ...], label: str) -> None:
     for i, u in enumerate(tup):
         if not 0 <= u < g.order:
-            raise NotACliqueError(f"{label}: vertex {u} outside graph")
+            raise ValueError(f"{label}: vertex {u} outside graph")
         for v in tup[i + 1:]:
             if not g.has_edge(u, v):
-                raise NotACliqueError(f"{label}: {u} and {v} are not adjacent")
+                raise ValueError(f"{label}: {u} and {v} are not adjacent")
 
 
 def clique_glue(g1: Graph, g2: Graph, spec: GlueSpec) -> Graph:
@@ -150,5 +144,5 @@ def fixture(name: str) -> Graph:
     try:
         maker = _FIXTURES[name]
     except KeyError:
-        raise UnknownFixtureError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}") from None
+        raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}") from None
     return maker()

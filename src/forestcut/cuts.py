@@ -6,6 +6,10 @@ finders walk the inclusion-minimal vertex cuts instead: a subset of a
 forest-inducing (or independent) set again induces a forest (is
 independent), so an inclusion-minimal cut witnesses existence whenever any
 witness exists.
+
+Every finder asks for a connected graph of order at least 3, because the
+empty set already separates a disconnected graph.  A complete graph has no
+vertex cut, so the finders return None for it.
 """
 
 from __future__ import annotations
@@ -14,11 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import (
-    CompleteGraphError,
-    DisconnectedInputError,
-    SearchTooLargeError,
-)
 from .graph import (
     Graph,
     components,
@@ -77,14 +76,16 @@ def _require_connected(g: Graph, minimum_order: int = 3) -> None:
     if g.order < minimum_order:
         raise ValueError(f"graph of order {g.order} has no vertex cut to look for")
     if not is_connected(g):
-        raise DisconnectedInputError("cut search requires a connected graph")
+        raise ValueError(
+            "cut search requires a connected graph; the empty set separates a disconnected one"
+        )
 
 
 def find_forest_cut_exhaustive(g: Graph) -> Optional[CutWitness]:
     """Scan all subsets by size, then bit pattern; first forest cut wins."""
     _require_connected(g)
     if g.order > EXHAUSTIVE_ORDER_CAP:
-        raise SearchTooLargeError(f"exhaustive search capped at {EXHAUSTIVE_ORDER_CAP} vertices")
+        raise ValueError(f"exhaustive search capped at {EXHAUSTIVE_ORDER_CAP} vertices")
     n = g.order
     full = g.vertex_mask
     for size in range(1, n - 1):
@@ -105,9 +106,9 @@ def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
     S, which is exactly inclusion-minimality as a cut.
     """
     if not is_connected(g):
-        raise DisconnectedInputError("separator enumeration requires a connected graph")
+        raise ValueError("separator enumeration requires a connected graph")
     if is_complete(g):
-        raise CompleteGraphError("complete graphs have no separator")
+        raise ValueError("complete graphs have no separator")
     adj = g.adj
     full = g.vertex_mask
 
@@ -147,7 +148,8 @@ def universal_vertex_reduction(g: Graph) -> Optional[tuple[int, Graph]]:
     """Split off the lowest universal vertex u, returning (u, G - u).
 
     A forest cut of the original graph is exactly {u} plus an independent
-    cut of the remainder, so callers can compose witnesses.
+    cut of the remainder.  The finders do not need it; it tells callers
+    which graphs have a universal vertex.
     """
     if g.order < 2:
         return None
@@ -162,26 +164,16 @@ def universal_vertex_reduction(g: Graph) -> Optional[tuple[int, Graph]]:
 def find_forest_cut(g: Graph) -> Optional[CutWitness]:
     """Separator-driven forest-cut finder, existence-equivalent to the oracle.
 
-    No order cap, but the number of minimal separators is exponential in
-    the worst case; intended for the sparse instances this package targets.
+    The first inclusion-minimal cut inducing a forest wins; a complete graph
+    gives None.  A graph with a universal vertex u takes no separate path:
+    every vertex cut contains u, and the walk meets the cuts {u} + S in the
+    order a walk of G - u meets its cuts S.  No order cap, but the number of
+    minimal separators is exponential in the worst case; intended for the
+    sparse instances this package targets.
     """
     _require_connected(g)
-    reduction = universal_vertex_reduction(g)
-    if reduction is not None:
-        u, rest = reduction
-        rest_ids = [v for v in range(g.order) if v != u]
-        if not is_connected(rest):
-            # u alone separates, and a single vertex induces a forest
-            return _make_witness(g, 1 << u, FOREST)
-        if rest.order < 3:
-            return None
-        inner = find_independent_cut(rest)
-        if inner is None:
-            return None
-        cut = 1 << u
-        for v in iter_bits(inner.cut):
-            cut |= 1 << rest_ids[v]
-        return _make_witness(g, cut, FOREST)
+    if is_complete(g):
+        return None
     for s in enumerate_minimal_separators(g):
         if induced_is_forest(g, s):
             return _make_witness(g, s, FOREST)
@@ -215,7 +207,7 @@ def all_minimal_forest_cuts(g: Graph) -> list[int]:
     """Every inclusion-minimal vertex cut inducing a forest, sorted by size then bits."""
     _require_connected(g, minimum_order=2)
     if is_complete(g):
-        raise CompleteGraphError("complete graphs have no vertex cut")
+        raise ValueError("complete graphs have no vertex cut")
     cuts = [s for s in enumerate_minimal_separators(g) if induced_is_forest(g, s)]
     cuts.sort(key=lambda s: (s.bit_count(), s))
     return cuts

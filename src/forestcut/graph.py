@@ -10,15 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DisconnectedInputError,
-    LoopEdgeError,
-    MalformedGraph6Error,
-    OrderTooLargeError,
-    OutOfRangeError,
-    UnsupportedOrderError,
-)
-
 MAX_ORDER = 128
 
 
@@ -45,16 +36,16 @@ class Graph:
 
     def __init__(self, order: int, adj: Sequence[int]):
         if not 1 <= order <= MAX_ORDER:
-            raise OrderTooLargeError(f"order {order} outside 1..{MAX_ORDER}")
+            raise ValueError(f"order {order} outside 1..{MAX_ORDER}")
         adj = tuple(adj)
         if len(adj) != order:
             raise ValueError(f"adjacency has {len(adj)} rows for order {order}")
         full = (1 << order) - 1
         for v, row in enumerate(adj):
             if row & ~full:
-                raise OutOfRangeError(f"adjacency row {v} references vertices >= {order}")
+                raise ValueError(f"adjacency row {v} references vertices >= {order}")
             if row >> v & 1:
-                raise LoopEdgeError(f"vertex {v} is adjacent to itself")
+                raise ValueError(f"vertex {v} is adjacent to itself")
         for v, row in enumerate(adj):
             for u in iter_bits(row):
                 if not adj[u] >> v & 1:
@@ -105,15 +96,15 @@ class Graph:
 def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, deduplicating repeated pairs."""
     if order > MAX_ORDER:
-        raise OrderTooLargeError(f"order {order} exceeds {MAX_ORDER}")
+        raise ValueError(f"order {order} exceeds {MAX_ORDER}")
     if order < 1:
-        raise OutOfRangeError(f"order {order} must be positive")
+        raise ValueError(f"order {order} must be positive")
     adj = [0] * order
     for u, v in edges:
         if u == v:
-            raise LoopEdgeError(f"loop edge at vertex {u}")
+            raise ValueError(f"loop edge at vertex {u}")
         if not (0 <= u < order and 0 <= v < order):
-            raise OutOfRangeError(f"edge ({u}, {v}) outside order {order}")
+            raise ValueError(f"edge ({u}, {v}) outside order {order}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(order, adj)
@@ -127,7 +118,7 @@ def write_graph6(g: Graph) -> str:
     """Encode in standard short-form graph6 (orders up to 62)."""
     n = g.order
     if n > 62:
-        raise UnsupportedOrderError(f"graph6 short form caps at 62 vertices, got {n}")
+        raise ValueError(f"graph6 short form caps at 62 vertices, got {n}")
     out = [chr(63 + n)]
     buf = 0
     nbits = 0
@@ -148,26 +139,26 @@ def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 line."""
     line = text.strip()
     if not line:
-        raise MalformedGraph6Error("empty graph6 line")
+        raise ValueError("empty graph6 line")
     head = ord(line[0])
     if head == 126:
-        raise UnsupportedOrderError("long-form graph6 (order > 62) not supported")
+        raise ValueError("long-form graph6 (order > 62) not supported")
     if head < 63:
-        raise MalformedGraph6Error(f"bad order byte {head}")
+        raise ValueError(f"bad order byte {head}")
     n = head - 63
     if n < 1:
-        raise MalformedGraph6Error("graph6 order 0 not representable here")
+        raise ValueError("graph6 order 0 not representable here")
     npairs = n * (n - 1) // 2
     want = (npairs + 5) // 6
     body = line[1:]
     if len(body) != want:
-        raise MalformedGraph6Error(f"expected {want} data bytes, got {len(body)}")
+        raise ValueError(f"expected {want} data bytes, got {len(body)}")
     adj = [0] * n
     bit = 0
     for ch in body:
         val = ord(ch) - 63
         if not 0 <= val < 64:
-            raise MalformedGraph6Error(f"data byte {ord(ch)} outside 63..126")
+            raise ValueError(f"data byte {ord(ch)} outside 63..126")
         for k in range(5, -1, -1):
             if bit >= npairs:
                 break
@@ -285,7 +276,7 @@ def is_vertex_cut(g: Graph, s: int) -> bool:
     Requires a connected graph; an empty remainder counts as not a cut.
     """
     if not is_connected(g):
-        raise DisconnectedInputError("cut predicates require a connected graph")
+        raise ValueError("cut predicates require a connected graph")
     rest = g.vertex_mask & ~s
     if rest == 0:
         return False
@@ -298,7 +289,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} outside 1..{n - 1}")
     if not is_connected(g):
-        raise DisconnectedInputError("connectivity test requires a connected graph")
+        raise ValueError("connectivity test requires a connected graph")
     if is_complete(g):
         return True
     full = g.vertex_mask

@@ -12,13 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .errors import (
-    InfeasibleCertificateError,
-    MissingVariableError,
-    NTooSmallError,
-    SimplexFailureError,
-)
-
 ZERO = Fraction(0)
 
 
@@ -56,7 +49,7 @@ def _primal_variables(n: int) -> tuple[list[str], list[str]]:
 def build_primal(n: int) -> LpInstance:
     """Minimum edge count over degree profiles with the five count constraints."""
     if n < 8:
-        raise NTooSmallError(f"the program needs n >= 8, got {n}")
+        raise ValueError(f"the program needs n >= 8, got {n}")
     deg_vars, split_vars = _primal_variables(n)
     variables = tuple(deg_vars + split_vars + ["n_4^6'", "n_4^6''"])
     objective = {f"n_{i}": Fraction(i, 2) for i in range(4, n)}
@@ -129,7 +122,7 @@ def _dual_split_row(j: int) -> LpRow:
 def build_dual(n: int) -> LpInstance:
     """The dual program, transcribed directly; row ids name the primal variable."""
     if n < 8:
-        raise NTooSmallError(f"the program needs n >= 8, got {n}")
+        raise ValueError(f"the program needs n >= 8, got {n}")
     variables = tuple(
         ["x_1", "x_2", "x_3", "x_4"] + [f"y_{j}" for j in range(5, n)]
     )
@@ -212,7 +205,7 @@ class DualPoint:
 def certificate_dual_point(n: int) -> DualPoint:
     """The explicit feasible dual certificate with objective 11n/5."""
     if n < 8:
-        raise NTooSmallError(f"the certificate is defined for n >= 8, got {n}")
+        raise ValueError(f"the certificate is defined for n >= 8, got {n}")
     y = {5: Fraction(2, 35), 6: Fraction(4, 35)}
     for j in range(7, n):
         y[j] = Fraction(6, 35)
@@ -259,7 +252,7 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
     """
     for v in instance.variables:
         if v not in point:
-            raise MissingVariableError(f"point is missing variable {v!r}")
+            raise ValueError(f"point is missing variable {v!r}")
     checks = []
     for r in instance.rows:
         num = 0
@@ -300,7 +293,7 @@ def weak_duality_bound(n: int, point: DualPoint) -> Fraction:
     if not report.feasible:
         bad = [r.row_id for r in report.rows if not r.satisfied]
         bad.extend(report.bound_violations)
-        raise InfeasibleCertificateError(f"certificate violates {bad}")
+        raise ValueError(f"certificate violates {bad}")
     return Fraction(n) * point.x1
 
 
@@ -311,7 +304,7 @@ def weak_duality_bound(n: int, point: DualPoint) -> Fraction:
 def solve_primal_exact(n: int) -> Fraction:
     """Exact optimum of the primal program; stays at or above 11n/5."""
     if n < 8:
-        raise NTooSmallError(f"the program needs n >= 8, got {n}")
+        raise ValueError(f"the program needs n >= 8, got {n}")
     if n > 64:
         raise ValueError(f"exact solve is sized for n <= 64, got {n}")
     return solve_min_exact(build_primal(n))
@@ -358,7 +351,7 @@ def solve_min_exact(instance: LpInstance) -> Fraction:
     _append_objective(tableau, basis, cost1)
     _run_bland(tableau, basis, total + m)
     if -tableau[-1][-1] != 0:
-        raise SimplexFailureError("phase 1 ended positive: instance infeasible")
+        raise ValueError("phase 1 ended positive: instance infeasible")
 
     # pivot artificials out of the basis, dropping redundant rows
     tableau.pop()
@@ -422,5 +415,5 @@ def _run_bland(tableau: list[list[Fraction]], basis: list[int], width: int) -> N
                     best = ratio
                     pick = i
         if pick is None:
-            raise SimplexFailureError("column with no positive entry: unbounded")
+            raise ValueError("column with no positive entry: unbounded")
         _pivot(tableau, basis, pick, col)

@@ -13,11 +13,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    EdgeNotOnChosenFaceError,
-    NotAFaceError,
-    NotSphereEmbeddingError,
-)
 from .graph import Graph, add_vertex, build_graph, vertex_set
 
 Dart = tuple[int, int]
@@ -64,7 +59,7 @@ def _face_darts(system: RotationSystem) -> list[FaceDarts]:
     n = system.graph.order
     m = system.graph.size
     if n - m + len(out) != 2:
-        raise NotSphereEmbeddingError(
+        raise ValueError(
             f"face trace gives n-m+f = {n - m + len(out)}, expected 2"
         )
     return out
@@ -101,7 +96,7 @@ class PlaneTriangulation:
         if any(len(f) != 3 for f in face_list):
             raise ValueError("embedding has a non-triangular face")
         if _match_face(face_list, self.outer_face) is None:
-            raise NotAFaceError(f"{self.outer_face} is not a face of the embedding")
+            raise ValueError(f"{self.outer_face} is not a face of the embedding")
 
     @property
     def graph(self) -> Graph:
@@ -129,7 +124,7 @@ def face_containing_edge(system: RotationSystem, u: int, v: int) -> tuple[int, .
     for f in _face_darts(system):
         if (u, v) in f or (v, u) in f:
             return tuple(d[0] for d in f)
-    raise NotAFaceError(f"({u}, {v}) does not bound a face")
+    raise ValueError(f"({u}, {v}) does not bound a face")
 
 
 def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
@@ -143,7 +138,7 @@ def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangula
     face_list = _face_darts(system)
     target = _match_face(face_list, tuple(face))
     if target is None:
-        raise NotAFaceError(f"{tuple(face)} is not a face of the embedding")
+        raise ValueError(f"{tuple(face)} is not a face of the embedding")
     g = system.graph
     w = g.order
     corners = [d[0] for d in target]
@@ -234,7 +229,7 @@ def _fan_path(
     g = tri.graph
     outer = tri.outer_face
     if {x, y} - set(outer) or x == y or not g.has_edge(x, y):
-        raise EdgeNotOnChosenFaceError(f"edge ({x}, {y}) is not on the outer face {outer}")
+        raise ValueError(f"edge ({x}, {y}) is not on the outer face {outer}")
     z = next(v for v in outer if v not in (x, y))
 
     rot_z = tri.embedding.rot[z]
@@ -248,7 +243,7 @@ def _fan_path(
     elif spun[1] == y:
         fan = list(reversed(spun[2:]))
     else:
-        raise EdgeNotOnChosenFaceError(f"outer face corner at {z} does not join {x} to {y}")
+        raise ValueError(f"outer face corner at {z} does not join {x} to {y}")
 
     seq = [x] + fan + [y]
     last = len(seq) - 1

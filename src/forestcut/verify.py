@@ -20,12 +20,6 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
 from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
-from .errors import (
-    MalformedGraph6Error,
-    OrderTooLargeForEnumerationError,
-    UnsupportedCensusOrderError,
-    UnsupportedOrderError,
-)
 from .graph import (
     Graph,
     add_vertex,
@@ -133,7 +127,7 @@ def _graph_classes(n: int) -> tuple[Graph, ...]:
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All isomorphism classes of graphs of order n (connected or not)."""
     if not 1 <= n <= ENUMERATION_ORDER_CAP:
-        raise OrderTooLargeForEnumerationError(
+        raise ValueError(
             f"built-in enumeration covers 1..{ENUMERATION_ORDER_CAP}, got {n}"
         )
     yield from _graph_classes(n)
@@ -165,9 +159,11 @@ class Graph6Corpus:
                 if not line:
                     continue
                 try:
-                    yield parse_graph6(line)
-                except (MalformedGraph6Error, UnsupportedOrderError) as exc:
+                    g = parse_graph6(line)
+                except ValueError as exc:
                     self.malformed.append((lineno, str(exc)))
+                else:
+                    yield g
 
     def describe(self) -> str:
         if self.malformed:
@@ -300,6 +296,8 @@ def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
     """Scan a corpus for counterexamples; result independent of worker count."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIM_NAMES}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     graphs = list(corpus)
     if isinstance(corpus, Graph6Corpus):
         description = corpus.describe()
@@ -324,7 +322,7 @@ def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
 def figure1_census(n: int) -> list[Graph]:
     """All 3-connected graphs of order n in {6, 7} with m < 11n/5 - 18/5."""
     if n not in (6, 7):
-        raise UnsupportedCensusOrderError(f"census is defined for n in {{6, 7}}, got {n}")
+        raise ValueError(f"census is defined for n in {{6, 7}}, got {n}")
     theorem2 = CLAIMS["theorem2"].density
     return [g for g in enumerate_connected_graphs(n) if sparse_k_connected(g, theorem2, 3)]
 

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from conftest import ORDER8_CONJECTURE2_FLAGS
@@ -70,6 +72,18 @@ class TestCheckCommand:
         assert code == 0
         assert lines[0].startswith("witness")
         assert "0" not in lines[0].split()[1:]
+
+    def test_disconnected_graph_rejected_with_reason(self, capsys, monkeypatch):
+        # EwCW is two triangles: the empty set already separates it
+        monkeypatch.setattr("sys.stdin", io.StringIO("EwCW\n"))
+        code = cli.run(["check", "--input", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cut search requires a connected graph; "
+            "the empty set separates a disconnected one\n"
+        )
 
 
 class TestSingleGraphInput:
@@ -281,3 +295,14 @@ class TestWorkersEnvironment:
         assert cli.run(argv + ["--workers", "1"]) == 0
         monkeypatch.delenv("FORESTCUT_WORKERS")
         assert cli._build_parser().parse_args(argv).workers == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_rejected(self, capsys, monkeypatch, workers):
+        argv = ["verify", "--claim", "chenyu", "--builtin-n", "5", "--workers", workers]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: workers must be at least 1, got {workers}\n"
+        monkeypatch.setenv("FORESTCUT_WORKERS", workers)
+        assert cli.run(argv[:-2]) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err

@@ -20,16 +20,14 @@ from forestcut.cuts import (
     universal_vertex_reduction,
     witness_is_valid,
 )
-from forestcut.errors import (
-    CompleteGraphError,
-    DisconnectedInputError,
-    SearchTooLargeError,
-)
 from forestcut.graph import (
     build_graph,
     components,
     induced_is_forest,
+    is_complete,
+    is_connected,
     is_independent_set,
+    iter_bits,
     vertex_connectivity_at_least,
     vertex_set,
 )
@@ -98,12 +96,12 @@ class TestExhaustiveFinder:
         assert find_forest_cut_exhaustive(fixture("k4")) is None
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedInputError):
+        with pytest.raises(ValueError, match="cut search requires a connected graph"):
             find_forest_cut_exhaustive(build_graph(4, [(0, 1), (2, 3)]))
 
     def test_order_cap(self):
         g = build_graph(29, [(i, i + 1) for i in range(28)])
-        with pytest.raises(SearchTooLargeError):
+        with pytest.raises(ValueError, match="exhaustive search capped at 28 vertices"):
             find_forest_cut_exhaustive(g)
 
 
@@ -118,7 +116,7 @@ class TestMinimalSeparators:
         assert all(s.bit_count() == 2 for s in seps)
 
     def test_complete_graph_rejected(self):
-        with pytest.raises(CompleteGraphError):
+        with pytest.raises(ValueError, match="complete graphs have no separator"):
             list(enumerate_minimal_separators(fixture("k4")))
 
     def test_deterministic_order(self):
@@ -177,7 +175,7 @@ class TestFindForestCut:
         g = k3_band_cycle(30, 5)
         w = find_forest_cut(g)
         assert w is not None and w.cut == vertex_set([0, 1, 2])
-        with pytest.raises(SearchTooLargeError):
+        with pytest.raises(ValueError, match="exhaustive search capped at 28 vertices"):
             find_forest_cut_exhaustive(g)
 
 
@@ -214,7 +212,7 @@ class TestAllMinimalForestCuts:
 
     def test_universal_vertex_in_every_cut(self):
         # k=2 degenerates to K5, which has no separator at all
-        with pytest.raises(CompleteGraphError):
+        with pytest.raises(ValueError, match="complete graphs have no vertex cut"):
             all_minimal_forest_cuts(cycle_diagonals_universal(2))
         for k in (3, 4):
             g = cycle_diagonals_universal(k)
@@ -227,7 +225,7 @@ class TestAllMinimalForestCuts:
         assert all_minimal_forest_cuts(c4()) == [vertex_set([0, 2]), vertex_set([1, 3])]
 
     def test_complete_rejected(self):
-        with pytest.raises(CompleteGraphError):
+        with pytest.raises(ValueError, match="complete graphs have no vertex cut"):
             all_minimal_forest_cuts(fixture("k4"))
 
 
@@ -245,6 +243,37 @@ class TestUniversalVertexReduction:
         assert u == 0
         assert rest.order == 3 and rest.size == 3
         assert find_forest_cut(fixture("k4")) is None
+
+    def test_walk_of_g_lifts_walk_of_g_minus_u(self):
+        # find_forest_cut walks G itself: its separators are {u} + S for the
+        # separators S of G - u, met in the same order, so the first forest
+        # cut is {u} plus the first independent cut of G - u.
+        graphs = [g for n in range(3, 8) for g in enumerate_connected_graphs(n)]
+        graphs += [cycle_diagonals_universal(k) for k in range(3, 9)]
+        checked = 0
+        for g in graphs:
+            reduction = universal_vertex_reduction(g)
+            if reduction is None or is_complete(g):
+                continue
+            u, rest = reduction
+            ids = [v for v in range(g.order) if v != u]
+
+            def lift(s):
+                return 1 << u | vertex_set(ids[v] for v in iter_bits(s))
+
+            w = find_forest_cut(g)
+            if not is_connected(rest):
+                assert list(enumerate_minimal_separators(g)) == [1 << u]
+                assert w.cut == 1 << u
+                continue
+            walked = [lift(s) for s in enumerate_minimal_separators(rest)]
+            assert list(enumerate_minimal_separators(g)) == walked
+            inner = find_independent_cut(rest)
+            assert (w is None) == (inner is None)
+            if w is not None:
+                assert w.cut == lift(inner.cut)
+            checked += 1
+        assert checked > 100
 
 
 class TestOracleAgreement:

@@ -3,11 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from forestcut.errors import (
-    InfeasibleCertificateError,
-    MissingVariableError,
-    NTooSmallError,
-)
+from forestcut.constructions import cycle_diagonals_universal, fixture
 from forestcut.graph import degree_profile
 from forestcut.lp import (
     DualPoint,
@@ -21,6 +17,7 @@ from forestcut.lp import (
     solve_primal_exact,
     weak_duality_bound,
 )
+from forestcut.verify import audit_claim_inequalities
 
 F = Fraction
 
@@ -108,8 +105,9 @@ class TestBuildPrimal:
         assert inst.objective["n_7"] == F(7, 2)
 
     def test_too_small(self):
-        with pytest.raises(NTooSmallError):
+        with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
             build_primal(7)
+        assert exc.traceback[-1].name == "build_primal"
 
     def test_row_relations(self):
         inst = build_primal(10)
@@ -138,8 +136,9 @@ class TestBuildDual:
         assert derived.nonnegative == dual.nonnegative
 
     def test_too_small(self):
-        with pytest.raises(NTooSmallError):
+        with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
             build_dual(7)
+        assert exc.traceback[-1].name == "build_dual"
 
 
 class TestCertificateDualPoint:
@@ -190,7 +189,7 @@ class TestCheckFeasible:
     def test_missing_variable(self):
         point = certificate_dual_point(9).assignment()
         del point["y_5"]
-        with pytest.raises(MissingVariableError):
+        with pytest.raises(ValueError, match="point is missing variable 'y_5'"):
             check_feasible(build_dual(9), point)
 
     def test_negative_bound_flagged(self):
@@ -216,7 +215,7 @@ class TestWeakDuality:
     def test_infeasible_certificate_rejected(self):
         point = certificate_dual_point(9)
         bad = DualPoint(F(3), point.x2, point.x3, point.x4, point.y)
-        with pytest.raises(InfeasibleCertificateError):
+        with pytest.raises(ValueError, match="certificate violates"):
             weak_duality_bound(9, bad)
 
 
@@ -232,8 +231,9 @@ class TestSolvePrimalExact:
         assert solve_primal_exact(n) >= weak_duality_bound(n, certificate_dual_point(n))
 
     def test_range_rejected(self):
-        with pytest.raises(NTooSmallError):
+        with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
             solve_primal_exact(7)
+        assert exc.traceback[-1].name == "solve_primal_exact"
         with pytest.raises(ValueError):
             solve_primal_exact(65)
 
@@ -299,9 +299,7 @@ class TestWeakDualityProperty:
                 assert objective_value(primal, p) >= objective_value(dual, d)
 
     def test_icosahedron_profile_objective_is_edge_count(self):
-        import forestcut as fc
-
-        g = fc.fixture("icosahedron")
+        g = fixture("icosahedron")
         profile = degree_profile(g)
         primal = build_primal(g.order)
         point = {v: F(0) for v in primal.variables}
@@ -311,10 +309,8 @@ class TestWeakDualityProperty:
         assert objective_value(primal, point) == g.size
 
     def test_audit_failure_matches_infeasibility(self):
-        import forestcut as fc
-
-        g = fc.cycle_diagonals_universal(4)  # 9 vertices, degree-4 ring
-        record = fc.audit_claim_inequalities(g)
+        g = cycle_diagonals_universal(4)  # 9 vertices, degree-4 ring
+        record = audit_claim_inequalities(g)
         assert not record.weighted_degree_row
         profile = degree_profile(g)
         primal = build_primal(g.order)

@@ -1,0 +1,99 @@
+"""The top-level namespace is exactly what the README library sketch calls."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import forestcut
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = {
+    "k3_band_cycle",
+    "all_minimal_forest_cuts",
+    "find_forest_cut",
+    "witness_is_valid",
+    "random_stacked_triangulation",
+    "face_containing_edge",
+    "prop1_forest_cut",
+    "reroot",
+    "check_feasible",
+    "build_dual",
+    "certificate_dual_point",
+    "solve_primal_exact",
+}
+
+# expression line of the sketch -> (value it must evaluate to, start of its comment)
+SKETCH_RESULTS = {
+    "fc.all_minimal_forest_cuts(g)": ([0b111], "[0b111]"),
+    "fc.witness_is_valid(g, w)": (True, "revalidates"),
+    "report.feasible": (True, "True"),
+    "fc.solve_primal_exact(12)": (Fraction(132, 5), "Fraction(132, 5)"),
+}
+
+
+def library_sketch() -> str:
+    readme = (ROOT / "README.md").read_text()
+    match = re.search(r"^## Library sketch\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    assert match, "README has no Library sketch block"
+    return match.group(1)
+
+
+def test_readme_sketch_runs_and_names_the_namespace():
+    source = library_sketch()
+    tree = ast.parse(source)
+    comments = {}
+    for line in source.splitlines():
+        code, _, comment = line.partition("#")
+        comments[code.strip()] = comment.strip()
+    scope = {}
+    seen = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Expr):
+            text = ast.get_source_segment(source, stmt)
+            seen[text] = eval(compile(ast.Expression(stmt.value), "README", "eval"), scope)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+    assert scope["fc"] is forestcut
+    for text, (value, comment) in SKETCH_RESULTS.items():
+        assert seen[text] == value, text
+        assert comments[text].startswith(comment), text
+
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "fc"
+    }
+    public = {
+        name
+        for name, value in vars(forestcut).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert called == PUBLIC_NAMES
+    assert public == PUBLIC_NAMES
+    assert forestcut.__version__
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    probe = (
+        "import sys, forestcut; "
+        "print(forestcut.__file__); "
+        "print(sorted({'concurrent.futures', 'forestcut.verify'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == ROOT / "src" / "forestcut"
+    assert out[1] == "[]"

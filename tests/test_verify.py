@@ -6,10 +6,6 @@ import pytest
 from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
-from forestcut.errors import (
-    OrderTooLargeForEnumerationError,
-    UnsupportedCensusOrderError,
-)
 from forestcut.graph import build_graph, is_connected, parse_graph6, write_graph6
 from forestcut.verify import (
     CLAIM_NAMES,
@@ -119,7 +115,7 @@ class TestEnumeration:
         assert len(set(keys)) == len(keys)
 
     def test_order_cap(self):
-        with pytest.raises(OrderTooLargeForEnumerationError):
+        with pytest.raises(ValueError, match="built-in enumeration covers 1..7, got 8"):
             list(enumerate_graphs(8))
 
     def test_graph6_round_trip_over_whole_corpus(self):
@@ -203,6 +199,12 @@ class TestCheckers:
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
             run_check("conjecture3", [], "none")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        corpus = list(enumerate_connected_graphs(5))
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_check("chenyu", corpus, "n5", workers)
 
     def test_deleting_a_prism_edge_restores_the_guarantee(self):
         # one edge below 2n-3 an independent cut must reappear
@@ -336,7 +338,7 @@ class TestFigure1Census:
                         assert len(components(g, g.vertex_mask & ~s)) == 1
 
     def test_unsupported_order(self):
-        with pytest.raises(UnsupportedCensusOrderError):
+        with pytest.raises(ValueError, match=r"census is defined for n in \{6, 7\}, got 8"):
             figure1_census(8)
 
 
