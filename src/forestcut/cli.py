@@ -129,14 +129,16 @@ def _cmd_planar_cut(args: argparse.Namespace) -> int:
 
 
 def _cmd_lp(args: argparse.Namespace) -> int:
-    point = lp.certificate_dual_point(args.n)
-    report = lp.check_feasible(lp.build_dual(args.n), point.assignment())
+    point = lp.certificate_dual_point(args.n).assignment()
+    dual = lp.build_dual(args.n)
+    report = lp.check_feasible(dual, point)
     for row in report.rows:
         print(row.row_id, row.relation, row.lhs, row.rhs, row.slack)
     if not report.feasible:
         print("INFEASIBLE")
         return 1
-    print("objective-bound", lp.weak_duality_bound(args.n, point))
+    # a feasible dual point's objective is a lower bound on the primal optimum
+    print("objective-bound", lp.objective_value(dual, point))
     if args.solve:
         print("primal-optimum", lp.solve_primal_exact(args.n))
     return 0

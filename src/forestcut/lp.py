@@ -1,8 +1,11 @@
 """The degree-profile linear program, its dual, and exact certificates.
 
-Everything here runs on fractions.Fraction: the certificate values have
+Everything here is exact rational arithmetic: the certificate values have
 denominators like 70, and the whole point of this module is that no
 floating-point rounding can creep into a feasibility or optimality claim.
+Programs and points hold fractions.Fraction values.  check_feasible scales
+the point once to a common denominator and evaluates every row over
+integers; a row's lhs and slack are exact Fractions built when read.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, NamedTuple
 
 ZERO = Fraction(0)
@@ -207,8 +211,7 @@ def certificate_dual_point(n: int) -> DualPoint:
     if n < 8:
         raise ValueError(f"the certificate is defined for n >= 8, got {n}")
     y = {5: Fraction(2, 35), 6: Fraction(4, 35)}
-    for j in range(7, n):
-        y[j] = Fraction(6, 35)
+    y.update(dict.fromkeys(range(7, n), Fraction(6, 35)))
     return DualPoint(
         x1=Fraction(11, 5),
         x2=Fraction(-6, 35),
@@ -219,12 +222,29 @@ def certificate_dual_point(n: int) -> DualPoint:
 
 
 class RowCheck(NamedTuple):
+    """One evaluated row: lhs and slack are lhs_num/den and slack_num/den.
+
+    slack is rhs - lhs for "<=" and "=" rows and lhs - rhs for ">=" rows,
+    so a satisfied inequality has slack >= 0.  den > 0 is a common
+    denominator of the row's lhs and rhs; the two exact Fractions are
+    built only when read.
+    """
+
     row_id: str
-    lhs: Fraction
     relation: str
     rhs: Fraction
-    slack: Fraction
     satisfied: bool
+    lhs_num: int
+    slack_num: int
+    den: int
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_num, self.den)
+
+    @property
+    def slack(self) -> Fraction:
+        return Fraction(self.slack_num, self.den)
 
 
 @dataclass(frozen=True)
@@ -246,39 +266,47 @@ class FeasibilityReport:
 def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> FeasibilityReport:
     """Evaluate every row and sign bound exactly; no floating point.
 
-    Rows are accumulated over integers with one normalization per output
-    value; per-term Fraction operators would dominate the 8..1000
-    certificate sweeps.
+    The point's values (Fractions or ints) are scaled once to one common
+    denominator, so each row and each sign bound is decided over integers.
+    No Fraction is built here: the 8..1000 certificate sweeps evaluate
+    about a million rows, and most callers read only ``feasible``.
     """
-    for v in instance.variables:
+    variables = instance.variables
+    for v in variables:
         if v not in point:
             raise ValueError(f"point is missing variable {v!r}")
+    values = [point[v] for v in variables]
+    try:
+        scale = lcm(*[p.denominator for p in values])
+        scaled = {v: p.numerator * (scale // p.denominator) for v, p in zip(variables, values)}
+    except (AttributeError, TypeError):
+        bad, value = next(
+            (v, p) for v, p in zip(variables, values) if not isinstance(p, (int, Fraction))
+        )
+        raise ValueError(
+            f"point value of {bad!r} must be an int or a Fraction, got {value!r}"
+        ) from None
     checks = []
     for r in instance.rows:
-        num = 0
-        den = 1
-        for v, c in r.coeffs.items():
-            p = point[v]
-            term_num = c.numerator * p.numerator
-            term_den = c.denominator * p.denominator
-            num = num * term_den + term_num * den
-            den *= term_den
         rhs = r.rhs
-        diff_num = rhs.numerator * den - num * rhs.denominator
-        diff_den = den * rhs.denominator
+        rhs_num, rhs_den = rhs.as_integer_ratio()
+        den = rhs_den  # grows to a common denominator of the row's coefficients and rhs
+        lhs = 0
+        for v, c in r.coeffs.items():
+            c_num, c_den = c.as_integer_ratio()
+            if den % c_den:
+                grown = lcm(den, c_den)
+                lhs *= grown // den
+                den = grown
+            lhs += c_num * (den // c_den) * scaled[v]
+        # lhs and rhs_scaled are the row's two sides times den * scale
+        rhs_scaled = rhs_num * (den // rhs_den) * scale
         relation = r.relation
-        if relation == "<=":
-            slack = Fraction(diff_num, diff_den)
-            ok = diff_num >= 0
-        elif relation == ">=":
-            slack = Fraction(-diff_num, diff_den)
-            ok = diff_num <= 0
-        else:
-            slack = Fraction(diff_num, diff_den)
-            ok = diff_num == 0
-        checks.append(RowCheck(r.row_id, Fraction(num, den), relation, rhs, slack, ok))
+        slack = lhs - rhs_scaled if relation == ">=" else rhs_scaled - lhs
+        ok = slack == 0 if relation == "=" else slack >= 0
+        checks.append(RowCheck(r.row_id, relation, rhs, ok, lhs, slack, den * scale))
     bad_bounds = tuple(
-        v for v in instance.variables if v in instance.nonnegative and point[v] < 0
+        v for v in variables if v in instance.nonnegative and scaled[v] < 0
     )
     return FeasibilityReport(tuple(checks), bad_bounds)
 

@@ -258,6 +258,17 @@ class TestLpCommand:
         assert lines[-1] == "primal-optimum 88/5"
         assert lines[-2] == "objective-bound 88/5"
 
+    def test_certificate_checked_once(self, capsys, monkeypatch):
+        from forestcut import lp
+
+        calls = []
+        check = lp.check_feasible
+        monkeypatch.setattr(lp, "check_feasible", lambda *a: calls.append(a) or check(*a))
+        code, lines = run_lines(capsys, ["lp", "--n", "10"])
+        assert code == 0
+        assert lines[-1] == "objective-bound 22"
+        assert len(calls) == 1
+
 
 class TestAuditCommand:
     def test_octahedron(self, capsys, tmp_path):

@@ -199,6 +199,13 @@ class TestCheckFeasible:
         assert "x_4" in report.bound_violations
         assert not report.feasible
 
+    @pytest.mark.parametrize("value", [0.5, "1/70"])
+    def test_non_rational_value_rejected(self, value):
+        point = certificate_dual_point(9).assignment()
+        point["x_4"] = value
+        with pytest.raises(ValueError, match="point value of 'x_4' must be an int or a Fraction"):
+            check_feasible(build_dual(9), point)
+
 
 class TestWeakDuality:
     def test_bound_n10(self):
