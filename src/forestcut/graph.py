@@ -153,30 +153,22 @@ def parse_graph6(text: str) -> Graph:
     body = line[1:]
     if len(body) != want:
         raise ValueError(f"expected {want} data bytes, got {len(body)}")
+    # read the bits in the order write_graph6 writes them: column j, then row i < j
     adj = [0] * n
-    bit = 0
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ValueError(f"data byte {ord(ch)} outside 63..126")
-        for k in range(5, -1, -1):
-            if bit >= npairs:
-                break
-            if val >> k & 1:
-                i, j = _pair_at(bit)
+    chars = iter(body)
+    val = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            if not nbits:
+                val = ord(next(chars)) - 63
+                if not 0 <= val < 64:
+                    raise ValueError(f"data byte {val + 63} outside 63..126")
+                nbits = 6
+            nbits -= 1
+            if val >> nbits & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit += 1
     return Graph(n, adj)
-
-
-def _pair_at(index: int) -> tuple[int, int]:
-    # graph6 orders the upper triangle column by column: (0,1),(0,2),(1,2),...
-    j = 1
-    while j * (j + 1) // 2 <= index:
-        j += 1
-    i = index - j * (j - 1) // 2
-    return i, j
 
 
 def write_edge_list(g: Graph) -> str:

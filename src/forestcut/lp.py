@@ -155,40 +155,6 @@ def build_dual(n: int) -> LpInstance:
     )
 
 
-def mechanical_dual(primal: LpInstance, dual_names: Mapping[str, str]) -> LpInstance:
-    """Dualize a min program with nonnegative variables and =/>= rows.
-
-    ``dual_names`` maps each primal row id to the dual variable name.  The
-    result has one <= row per primal variable, keyed by that variable, so a
-    transcription of the dual can be compared row for row.
-    """
-    assert primal.sense == "min"
-    assert primal.nonnegative == frozenset(primal.variables)
-    dual_vars = tuple(dual_names[r.row_id] for r in primal.rows)
-    nonneg = frozenset(
-        dual_names[r.row_id] for r in primal.rows if r.relation == ">="
-    )
-    objective = {
-        dual_names[r.row_id]: r.rhs for r in primal.rows if r.rhs != 0
-    }
-    rows = []
-    for v in primal.variables:
-        coeffs = {}
-        for r in primal.rows:
-            c = r.coeffs.get(v)
-            if c:
-                coeffs[dual_names[r.row_id]] = c
-        rows.append(LpRow(v, coeffs, "<=", primal.objective.get(v, ZERO)))
-    return LpInstance(
-        name=primal.name + "-dualized",
-        sense="max",
-        variables=dual_vars,
-        objective=objective,
-        rows=tuple(rows),
-        nonnegative=nonneg,
-    )
-
-
 @dataclass(frozen=True)
 class DualPoint:
     """Candidate dual solution: the x block plus y_j for 5 <= j <= n-1."""

@@ -10,10 +10,10 @@ are either generator outputs or parsed rotation files.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, add_vertex, build_graph, vertex_set
+from .graph import Graph, add_vertex, build_graph, components, vertex_set
 
 Dart = tuple[int, int]
 FaceDarts = tuple[Dart, ...]
@@ -86,17 +86,22 @@ def is_plane_triangulation(system: RotationSystem) -> bool:
 
 @dataclass(frozen=True)
 class PlaneTriangulation:
-    """A rotation system all of whose faces are triangles, plus an outer face."""
+    """A rotation system all of whose faces are triangles, plus an outer face.
+
+    The faces are traced once, here, and kept as dart cycles in trace order.
+    """
 
     embedding: RotationSystem
     outer_face: tuple[int, int, int]
+    _faces: tuple[FaceDarts, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        face_list = _face_darts(self.embedding)
+        face_list = tuple(_face_darts(self.embedding))
         if any(len(f) != 3 for f in face_list):
             raise ValueError("embedding has a non-triangular face")
         if _match_face(face_list, self.outer_face) is None:
             raise ValueError(f"{self.outer_face} is not a face of the embedding")
+        object.__setattr__(self, "_faces", face_list)
 
     @property
     def graph(self) -> Graph:
@@ -104,14 +109,11 @@ class PlaneTriangulation:
 
 
 def _match_face(face_list: Iterable[FaceDarts], triple: Sequence[int]) -> Optional[FaceDarts]:
-    """Find the traced face matching a vertex triple, either orientation."""
+    """Find the traced triangle on a vertex triple, in either orientation."""
     if len(triple) != 3:
         return None
-    want = {_min_rotation(triple), _min_rotation(tuple(reversed(triple)))}
-    for f in face_list:
-        if _min_rotation([d[0] for d in f]) in want:
-            return f
-    return None
+    want = set(triple)
+    return next((f for f in face_list if {d[0] for d in f} == want), None)
 
 
 def reroot(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
@@ -135,8 +137,7 @@ def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangula
     face cycle reversed.
     """
     system = tri.embedding
-    face_list = _face_darts(system)
-    target = _match_face(face_list, tuple(face))
+    target = _match_face(tri._faces, tuple(face))
     if target is None:
         raise ValueError(f"{tuple(face)} is not a face of the embedding")
     g = system.graph
@@ -149,7 +150,7 @@ def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangula
     new_rot.append(list(reversed(corners)))
     new_graph = add_vertex(g, vertex_set(corners))
     outer = tri.outer_face
-    if _min_rotation(corners) in {_min_rotation(outer), _min_rotation(tuple(reversed(outer)))}:
+    if set(corners) == set(outer):
         outer = (target[0][0], target[0][1], w)
     return PlaneTriangulation(
         RotationSystem(new_graph, tuple(tuple(r) for r in new_rot)), outer
@@ -192,9 +193,7 @@ _ICOSAHEDRON_ROT = (
 def icosahedron_triangulation() -> PlaneTriangulation:
     edges = [(v, u) for v, row in enumerate(_ICOSAHEDRON_ROT) for u in row if v < u]
     g = build_graph(12, edges)
-    system = RotationSystem(g, _ICOSAHEDRON_ROT)
-    outer = tuple(d[0] for d in _face_darts(system)[0])
-    return PlaneTriangulation(system, outer)
+    return PlaneTriangulation(RotationSystem(g, _ICOSAHEDRON_ROT), (0, 2, 9))
 
 
 def random_stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
@@ -204,9 +203,8 @@ def random_stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
     tri = k4_triangulation()
     rng = random.Random(seed)
     while tri.graph.order < n:
-        face_list = _face_darts(tri.embedding)
-        outer = _match_face(face_list, tri.outer_face)
-        candidates = [f for f in face_list if f != outer]
+        outer = _match_face(tri._faces, tri.outer_face)
+        candidates = [f for f in tri._faces if f is not outer]
         choice = candidates[rng.randrange(len(candidates))]
         tri = stack_vertex(tri, tuple(d[0] for d in choice))
     return tri
@@ -284,42 +282,21 @@ def prop1_forest_cut(tri: PlaneTriangulation, xy: tuple[int, int]) -> int:
     (lexicographically smallest on ties), avoiding the edge xy itself.  If
     the closed cycle Q+xy has vertices strictly inside (on the side away
     from z) the cut is V(Q); otherwise it is {z, u} for the first interior
-    fan vertex u of Q.
+    fan vertex u of Q.  The inside is nonempty exactly when G - V(Q) has
+    more than one component, so one ``components`` call decides it.
     """
-    x, y = xy
     g = tri.graph
     z, seq, path = _fan_path(tri, xy)
     if seq is None:
         return 1 << z
-    q_verts = [seq[p] for p in path]
-
-    cycle_edges = {frozenset(p) for p in zip(q_verts, q_verts[1:])}
-    cycle_edges.add(frozenset((x, y)))
-
-    face_list = _face_darts(tri.embedding)
-    start = face_list.index(_match_face(face_list, tri.outer_face))
-    by_dart = {}
-    for idx, f in enumerate(face_list):
-        for d in f:
-            by_dart[d] = idx
-    reached = {start}
-    stack = [start]
-    while stack:
-        f = face_list[stack.pop()]
-        for u, v in f:
-            if frozenset((u, v)) in cycle_edges:
-                continue
-            other = by_dart[(v, u)]
-            if other not in reached:
-                reached.add(other)
-                stack.append(other)
-    seen_vertices = 0
-    for idx in reached:
-        seen_vertices |= vertex_set(d[0] for d in face_list[idx])
-    interior = g.vertex_mask & ~seen_vertices
-    if interior:
-        return vertex_set(q_verts)
-    return 1 << z | 1 << q_verts[1]
+    q_mask = vertex_set(seq[p] for p in path)
+    # Every vertex on z's side of Q + xy reaches z without touching V(Q):
+    # through z's fan, or through the inside of a separating triangle
+    # z q_i q_(i+1).  By the Jordan curve theorem no vertex inside the cycle
+    # can reach z.  So the inside is nonempty iff G - V(Q) is disconnected.
+    if len(components(g, g.vertex_mask & ~q_mask)) > 1:
+        return q_mask
+    return 1 << z | 1 << seq[path[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +317,15 @@ def parse_rotation_system(text: str) -> RotationSystem:
     n = int(rows[0])
     if len(rows) - 1 != n:
         raise ValueError(f"expected {n} rotation lines, found {len(rows) - 1}")
-    rot: list[tuple[int, ...]] = [()] * n
+    rot: list[Optional[tuple[int, ...]]] = [None] * n
     adj = [0] * n
     for ln in rows[1:]:
         head, _, tail = ln.partition(":")
         v = int(head)
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        if rot[v] is not None:
+            raise ValueError(f"vertex {v} listed twice")
         row = tuple(int(tok) for tok in tail.split())
         rot[v] = row
         adj[v] = vertex_set(row)

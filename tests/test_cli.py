@@ -10,6 +10,20 @@ from forestcut.planar import octahedron_triangulation, write_rotation_system
 from forestcut.verify import CLAIM_NAMES, Density, canonical_graph6
 
 
+# `gen --family stacked --n 9 --seed 7 --format rot`, byte for byte
+STACKED_9_7_ROT = """9
+0: 1 7 8 3 5 4 6 2
+1: 2 3 7 0
+2: 0 6 4 3 1
+3: 2 4 5 0 8 7 1
+4: 3 2 6 0 5
+5: 3 4 0
+6: 4 2 0
+7: 1 3 8 0
+8: 7 3 0
+"""
+
+
 def run_lines(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
@@ -207,6 +221,16 @@ class TestGenCommand:
         assert code == 0
         assert lines[0].startswith("cut ")
 
+    def test_stacked_output_pinned(self, capsys, tmp_path):
+        code = cli.run(["gen", "--family", "stacked", "--n", "9", "--seed", "7",
+                        "--format", "rot"])
+        assert (code, capsys.readouterr().out) == (0, STACKED_9_7_ROT)
+        path = tmp_path / "stacked.rot"
+        path.write_text(STACKED_9_7_ROT)
+        # one cut is V(Q), the other {z, u}
+        for edge, want in (("0,1", ["cut 0 1 3"]), ("0,5", ["cut 3 4"])):
+            assert run_lines(capsys, ["planar-cut", "--input", str(path), "--edge", edge]) == (0, want)
+
     def test_stacked_deterministic_per_seed(self, capsys):
         cli.run(["gen", "--family", "stacked", "--n", "9", "--seed", "2"])
         first = capsys.readouterr().out
@@ -240,6 +264,12 @@ class TestPlanarCutCommand:
         gm = delete_edge(tri.graph, 0, 1)
         assert is_vertex_cut(gm, vertex_set(cut))
         assert induced_is_forest(gm, vertex_set(cut))
+
+    def test_vertex_listed_twice_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "twice.rot"
+        path.write_text("4\n0: 1 2\n1: 2 0\n2: 0 1\n2: 1 0\n")
+        assert cli.run(["planar-cut", "--input", str(path), "--edge", "0,1"]) == 2
+        assert capsys.readouterr().err == "error: vertex 2 listed twice\n"
 
 
 class TestLpCommand:

@@ -7,10 +7,11 @@ from forestcut.constructions import cycle_diagonals_universal, fixture
 from forestcut.graph import degree_profile
 from forestcut.lp import (
     DualPoint,
+    LpInstance,
+    LpRow,
     build_dual,
     build_primal,
     check_feasible,
-    mechanical_dual,
     objective_value,
     certificate_dual_point,
     solve_min_exact,
@@ -34,6 +35,40 @@ def dual_variable_names(n):
     for j in range(7, n):
         names[f"deg{j}-capacity"] = f"y_{j}"
     return names
+
+
+def mechanical_dual(primal, dual_names):
+    """Dualize a min program with nonnegative variables and =/>= rows.
+
+    ``dual_names`` maps each primal row id to the dual variable name.  The
+    result has one <= row per primal variable, keyed by that variable, so a
+    transcription of the dual can be compared row for row.
+    """
+    assert primal.sense == "min"
+    assert primal.nonnegative == frozenset(primal.variables)
+    dual_vars = tuple(dual_names[r.row_id] for r in primal.rows)
+    nonneg = frozenset(
+        dual_names[r.row_id] for r in primal.rows if r.relation == ">="
+    )
+    objective = {
+        dual_names[r.row_id]: r.rhs for r in primal.rows if r.rhs != 0
+    }
+    rows = []
+    for v in primal.variables:
+        coeffs = {}
+        for r in primal.rows:
+            c = r.coeffs.get(v)
+            if c:
+                coeffs[dual_names[r.row_id]] = c
+        rows.append(LpRow(v, coeffs, "<=", primal.objective.get(v, F(0))))
+    return LpInstance(
+        name=primal.name + "-dualized",
+        sense="max",
+        variables=dual_vars,
+        objective=objective,
+        rows=tuple(rows),
+        nonnegative=nonneg,
+    )
 
 
 def enumerate_basic_feasible_minimum(instance):

@@ -1,15 +1,19 @@
+import random
 import re
 from itertools import combinations
 
 import pytest
 
+from forestcut import planar
 from forestcut.graph import (
     build_graph,
     delete_edge,
     induced_is_forest,
     is_vertex_cut,
+    vertex_set,
 )
 from forestcut.planar import (
+    PlaneTriangulation,
     RotationSystem,
     _fan_path,
     face_containing_edge,
@@ -31,6 +35,61 @@ from forestcut.planar import (
 def c4_system():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     return RotationSystem(g, ((1, 3), (2, 0), (3, 1), (0, 2)))
+
+
+def inside_by_face_walk(tri, xy, q_verts):
+    """Reference for Prop. 1's inside test: walk face adjacency.
+
+    Start at the outer face, never cross an edge of the cycle Q + xy, and
+    return the vertices that lie on no face reached.
+    """
+    face_list = faces(tri.embedding)
+    darts = [tuple(zip(f, f[1:] + f[:1])) for f in face_list]
+    by_dart = {d: idx for idx, f in enumerate(darts) for d in f}
+    cycle_edges = {frozenset(p) for p in zip(q_verts, q_verts[1:])} | {frozenset(xy)}
+    start = next(i for i, f in enumerate(face_list) if set(f) == set(tri.outer_face))
+    reached = {start}
+    stack = [start]
+    while stack:
+        for u, v in darts[stack.pop()]:
+            if frozenset((u, v)) in cycle_edges:
+                continue
+            other = by_dart[(v, u)]
+            if other not in reached:
+                reached.add(other)
+                stack.append(other)
+    seen = set().union(*(face_list[i] for i in reached))
+    return set(range(tri.graph.order)) - seen
+
+
+def is_stacked(g):
+    """Stacked triangulations peel down to K4 by deleting degree-3 vertices."""
+    adj = {v: {u for u in range(g.order) if g.has_edge(u, v)} for v in range(g.order)}
+    while len(adj) > 4:
+        v = next((v for v, nb in adj.items() if len(nb) == 3), None)
+        if v is None:
+            return False
+        for u in adj.pop(v):
+            adj[u].discard(v)
+    return True
+
+
+def networkx_triangulation(nx, n, seed):
+    """A maximal planar graph from shuffled edges, with networkx's rotation."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    for u, v in pairs:
+        if h.number_of_edges() == 3 * n - 6:
+            break
+        h.add_edge(u, v)
+        if not nx.check_planarity(h)[0]:
+            h.remove_edge(u, v)
+    _, emb = nx.check_planarity(h)
+    rot = tuple(tuple(emb.neighbors_cw_order(v)) for v in range(n))
+    return RotationSystem(build_graph(n, h.edges()), rot)
 
 
 class TestFaces:
@@ -108,6 +167,30 @@ class TestStackVertex:
         c = random_stacked_triangulation(12, 4)
         assert c.embedding != a.embedding
 
+    def test_pinned_outer_faces(self):
+        # perfbench deletes tri.outer_face[:2], so the face order is pinned
+        t = random_stacked_triangulation(9, 7)
+        assert t.outer_face == (0, 1, 2)
+        assert stack_vertex(t, (2, 1, 0)).outer_face == (0, 1, 9)
+        assert stack_vertex(t, (0, 3, 8)).outer_face == (0, 1, 2)
+        assert stack_vertex(k4_triangulation(), (1, 2, 0)).outer_face == (0, 1, 4)
+        assert icosahedron_triangulation().outer_face == (0, 2, 9)
+
+    def test_faces_traced_once_per_triangulation(self, monkeypatch):
+        calls = []
+        trace = planar._face_darts
+
+        def counted(system):
+            calls.append(system)
+            return trace(system)
+
+        monkeypatch.setattr(planar, "_face_darts", counted)
+        t = random_stacked_triangulation(100, 3)
+        assert len(calls) == 97  # K4, then one per stacked vertex
+        prop1_forest_cut(t, t.outer_face[:2])
+        stack_vertex(t, faces(t.embedding)[5])
+        assert len(calls) == 99  # faces() and the new triangulation
+
     def test_generator_sizes(self):
         for n in range(4, 13):
             t = random_stacked_triangulation(n, 11)
@@ -181,6 +264,34 @@ class TestProp1ForestCut:
                 assert path == best  # lexicographically first among shortest
 
 
+class TestProp1NetworkxOracle:
+    def test_non_stacked_triangulations(self):
+        nx = pytest.importorskip("networkx")
+        graphs = cases = 0
+        for seed in range(30):
+            system = networkx_triangulation(nx, 8 + seed % 9, seed)
+            g = system.graph
+            assert g.size == 3 * g.order - 6
+            if is_stacked(g):
+                continue
+            graphs += 1
+            for face in faces(system):
+                tri = PlaneTriangulation(system, face)
+                for x, y in zip(face, face[1:] + face[:1]):
+                    cases += 1
+                    for xy in ((x, y), (y, x)):
+                        cut = prop1_forest_cut(tri, xy)
+                        without = delete_edge(g, x, y)
+                        assert is_vertex_cut(without, cut) and induced_is_forest(without, cut)
+                        z, seq, path = _fan_path(tri, xy)
+                        q_verts = [seq[p] for p in path]
+                        if inside_by_face_walk(tri, xy, q_verts):
+                            assert cut == vertex_set(q_verts)
+                        else:
+                            assert cut == 1 << z | 1 << q_verts[1]
+        assert (graphs, cases) == (20, 1272)
+
+
 class TestNoForestCutInTriangulations:
     def test_fixtures_and_stacks(self):
         from forestcut.cuts import find_forest_cut_exhaustive
@@ -206,6 +317,15 @@ class TestRotationFiles:
     def test_bad_vertex_count(self):
         with pytest.raises(ValueError):
             parse_rotation_system("2\n0: 1\n")
+
+    def test_vertex_listed_twice(self):
+        text = "4\n0: 1 2\n1: 2 0\n2: 0 1\n2: 1 0\n"
+        with pytest.raises(ValueError, match="^vertex 2 listed twice$"):
+            parse_rotation_system(text)
+        lines = write_rotation_system(random_stacked_triangulation(9, 7).embedding).splitlines()
+        lines[4] = lines[1]  # vertex 0 replaces vertex 3
+        with pytest.raises(ValueError, match="^vertex 0 listed twice$"):
+            parse_rotation_system("\n".join(lines))
 
 
 class TestReroot:
