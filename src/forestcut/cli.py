@@ -87,40 +87,56 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report.counterexamples else 0
 
 
-def _parse_clique(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+def _parse_vertices(option: str, text: str, count: int | None = None) -> tuple[int, ...]:
+    """The comma-separated vertex ids given to ``option``, ``count`` of them if set."""
+    try:
+        vertices = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        vertices = None
+    if vertices is None or count not in (None, len(vertices)):
+        want = f"{count} comma-separated integers" if count else "comma-separated integers"
+        raise ValueError(f"{option} expects {want}, got {text!r}")
+    return vertices
+
+
+def _glue(a: str, b: str, clique_a: str, clique_b: str) -> Graph:
+    spec = constructions.GlueSpec(
+        _parse_vertices("--clique-a", clique_a), _parse_vertices("--clique-b", clique_b)
+    )
+    return constructions.clique_glue(constructions.fixture(a), constructions.fixture(b), spec)
+
+
+# each --family of gen: its builder, and the options it is called with as argparse dests
+_GEN_FAMILIES = {
+    "fixture": (constructions.fixture, ("name",)),
+    "gk": (constructions.conjecture2_family, ("k",)),
+    "band": (constructions.k3_band_cycle, ("n", "c")),
+    "cdu": (constructions.cycle_diagonals_universal, ("k",)),
+    "glue": (_glue, ("a", "b", "clique_a", "clique_b")),
+    "stacked": (planar.random_stacked_triangulation, ("n", "seed")),
+}
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "stacked":
-        tri = planar.random_stacked_triangulation(args.n, args.seed)
-        if args.format == "rot":
-            print(planar.write_rotation_system(tri.embedding), end="")
-        else:
-            _emit_graph(tri.graph, args.format)
-        return 0
-    if args.format == "rot":
+    build, dests = _GEN_FAMILIES[args.family]
+    values = [getattr(args, dest) for dest in dests]
+    if None in values:
+        option = "--" + dests[values.index(None)].replace("_", "-")
+        raise ValueError(f"--family {args.family} needs {option}")
+    stacked = args.family == "stacked"
+    if args.format == "rot" and not stacked:
         raise ValueError("rotation output is only available for --family stacked")
-    if args.family == "fixture":
-        g = constructions.fixture(args.name)
-    elif args.family == "gk":
-        g = constructions.conjecture2_family(args.k)
-    elif args.family == "band":
-        g = constructions.k3_band_cycle(args.n, args.c)
-    elif args.family == "cdu":
-        g = constructions.cycle_diagonals_universal(args.k)
+    built = build(*values)
+    if args.format == "rot":
+        print(planar.write_rotation_system(built.embedding), end="")
     else:
-        spec = constructions.GlueSpec(_parse_clique(args.clique_a), _parse_clique(args.clique_b))
-        g = constructions.clique_glue(
-            constructions.fixture(args.a), constructions.fixture(args.b), spec
-        )
-    _emit_graph(g, args.format)
+        _emit_graph(built.graph if stacked else built, args.format)
     return 0
 
 
 def _cmd_planar_cut(args: argparse.Namespace) -> int:
+    u, v = _parse_vertices("--edge", args.edge, 2)
     system = planar.parse_rotation_system(_read_text(args.input))
-    u, v = (int(tok) for tok in args.edge.split(","))
     outer = planar.face_containing_edge(system, u, v)
     tri = planar.PlaneTriangulation(system, outer)
     cut = planar.prop1_forest_cut(tri, (u, v))
@@ -181,11 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit one of the named constructions")
-    p.add_argument(
-        "--family",
-        choices=("fixture", "gk", "band", "cdu", "glue", "stacked"),
-        required=True,
-    )
+    p.add_argument("--family", choices=tuple(_GEN_FAMILIES), required=True)
     p.add_argument("--name", default=None, help="fixture name")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)

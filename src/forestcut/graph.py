@@ -7,7 +7,6 @@ for the orders this package targets (at most 128 vertices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 128
@@ -310,56 +309,6 @@ def masks_of_size(n: int, k: int) -> Iterator[int]:
 
 # ---------------------------------------------------------------------------
 # degree bookkeeping
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Counts of vertices by degree, refined for degree-4 vertices.
-
-    ``n_i[i]`` counts vertices of degree i for 4 <= i <= order-1 and
-    ``n_4_j[j]`` splits the degree-4 vertices by the maximum degree j among
-    their neighbors.  ``partition_valid`` is False when some degree-4 vertex
-    has no neighbor of degree 5 or more, in which case the n_4_j counts do
-    not partition the degree-4 vertices.
-    """
-
-    order: int
-    n_i: dict[int, int]
-    n_4_j: dict[int, int]
-    n_4_6_prime: int
-    n_4_6_doubleprime: int
-    partition_valid: bool
-
-    def count_degree(self, i: int) -> int:
-        return self.n_i.get(i, 0)
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    n = g.order
-    degs = [g.degree(v) for v in range(n)]
-    n_i = {i: 0 for i in range(4, n)}
-    for d in degs:
-        if d >= 4:
-            n_i[d] += 1
-    n_4_j = {j: 0 for j in range(5, n)}
-    prime = 0
-    doubleprime = 0
-    valid = True
-    for v in range(n):
-        if degs[v] != 4:
-            continue
-        nbr_degs = [degs[u] for u in g.neighbors(v)]
-        top = max(nbr_degs)
-        if top <= 4:
-            valid = False
-            continue
-        n_4_j[top] += 1
-        if top == 6:
-            if nbr_degs.count(6) == 1:
-                prime += 1
-            else:
-                doubleprime += 1
-    return DegreeProfile(n, n_i, n_4_j, prime, doubleprime, valid)
 
 
 def degree_sum(g: Graph, s: int) -> int:

@@ -1,9 +1,12 @@
 """The degree-profile linear program, its dual, and exact certificates.
 
+build_primal is the one place the paper's counting inequalities are
+written; profile_point reads a graph's degree counts as a point of it.
+
 Everything here is exact rational arithmetic: the certificate values have
 denominators like 70, and the whole point of this module is that no
 floating-point rounding can creep into a feasibility or optimality claim.
-Programs and points hold fractions.Fraction values.  check_feasible scales
+Programs hold Fractions; points hold Fractions or ints.  check_feasible scales
 the point once to a common denominator and evaluates every row over
 integers; a row's lhs and slack are exact Fractions built when read.
 """
@@ -15,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Mapping, NamedTuple
+
+from .graph import Graph
 
 ZERO = Fraction(0)
 
@@ -107,6 +112,32 @@ def build_primal(n: int) -> LpInstance:
         rows=tuple(rows),
         nonnegative=frozenset(variables),
     )
+
+
+def profile_point(g: Graph) -> dict[str, int]:
+    """The degree profile of g as a point of ``build_primal(max(g.order, 8))``.
+
+    ``n_i`` counts the vertices of degree i >= 4, ``n_4^j`` the degree-4
+    vertices whose highest neighbour degree is j, and ``n_4^6'`` and
+    ``n_4^6''`` split ``n_4^6`` by whether one or several neighbours have
+    degree 6.  A degree-4 vertex with no neighbour of degree 5 or more counts
+    in ``n_4`` only, so the point fails the ``deg4-partition`` row.
+    """
+    deg_vars, split_vars = _primal_variables(max(g.order, 8))
+    point = dict.fromkeys(deg_vars + split_vars + ["n_4^6'", "n_4^6''"], 0)
+    degs = [g.degree(v) for v in range(g.order)]
+    for v, d in enumerate(degs):
+        if d < 4:
+            continue
+        point[f"n_{d}"] += 1
+        if d == 4:
+            nbr_degs = [degs[u] for u in g.neighbors(v)]
+            top = max(nbr_degs)
+            if top >= 5:
+                point[f"n_4^{top}"] += 1
+            if top == 6:
+                point["n_4^6'" if nbr_degs.count(6) == 1 else "n_4^6''"] += 1
+    return point
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_av
 from .graph import (
     Graph,
     add_vertex,
-    degree_profile,
     degree_sum,
     induced_is_forest,
     is_connected,
@@ -32,6 +31,7 @@ from .graph import (
     vertex_connectivity_at_least,
     write_graph6,
 )
+from .lp import build_primal, check_feasible, profile_point
 
 ENUMERATION_ORDER_CAP = 7
 
@@ -333,26 +333,44 @@ class AuditRecord:
 
     These are asserted only for a hypothetical minimum counterexample, so
     failures on ordinary graphs are expected and informative, not bugs.
+    ``_audit_rows`` names the ``lp.build_primal`` rows of the six row fields.
     """
 
     four_connected: bool            # no vertex cut of size 3 or less
-    partition_row_deg4: bool        # n_4 equals the sum of the n_4^j
-    partition_row_top6: bool        # n_4^6 splits into the primed counts
-    weighted_degree_row: bool       # sum_j j*n_j >= 2*n_4
-    deg5_capacity_row: bool         # 4*n_5 >= 3*n_4^5 + n_4^6'
-    deg6_capacity_row: bool         # 6*n_6 >= n_4^6' + 2*n_4^6''
-    high_degree_rows: bool          # j*n_j >= n_4^j for every j >= 7
+    partition_row_deg4: bool
+    partition_row_top6: bool
+    weighted_degree_row: bool
+    deg5_capacity_row: bool
+    deg6_capacity_row: bool
+    high_degree_rows: bool          # every deg{j}-capacity row for j >= 7
     neighborhood_degree_sums: bool  # degree-4 vertices have d_G(N(u)) >= 19
     max_two_degree4_neighbors: bool  # degree-4 vertices: at most two degree-4 neighbors
     degree5_not_all_degree4: bool   # degree-5 vertices: some neighbor of degree != 4
 
 
+def _audit_rows(n: int) -> dict[str, tuple[str, ...]]:
+    # the build_primal(n) rows behind each row field of AuditRecord
+    return {
+        "partition_row_deg4": ("deg4-partition",),
+        "partition_row_top6": ("deg4-top6-split",),
+        "weighted_degree_row": ("weighted-degree",),
+        "deg5_capacity_row": ("deg5-capacity",),
+        "deg6_capacity_row": ("deg6-capacity",),
+        "high_degree_rows": tuple(f"deg{j}-capacity" for j in range(7, n)),
+    }
+
+
 def audit_claim_inequalities(g: Graph) -> AuditRecord:
-    profile = degree_profile(g)
+    """Evaluate the counting inequalities and the local claims on one graph.
+
+    The row fields are the rows of ``lp.build_primal(max(n, 8))`` at
+    ``lp.profile_point(g)``; below order 8 the padding rows read 0 >= 0.
+    """
     n = g.order
-    n4 = profile.count_degree(4)
-    split_total = sum(profile.n_4_j.values())
-    weighted = sum(j * profile.n_i.get(j, 0) for j in range(5, n))
+    size = max(n, 8)
+    report = check_feasible(build_primal(size), profile_point(g))
+    satisfied = {r.row_id: r.satisfied for r in report.rows}
+    rows = {name: all(satisfied[r] for r in ids) for name, ids in _audit_rows(size).items()}
     degs = [g.degree(v) for v in range(n)]
     nbhd_sums_ok = all(
         degree_sum(g, g.adj[v]) >= 19 for v in range(n) if degs[v] == 4
@@ -367,21 +385,9 @@ def audit_claim_inequalities(g: Graph) -> AuditRecord:
         for v in range(n)
         if degs[v] == 5
     )
-    four_connected = sparse_k_connected(g, None, 4)
     return AuditRecord(
-        four_connected=four_connected,
-        partition_row_deg4=profile.partition_valid and n4 == split_total,
-        partition_row_top6=profile.n_4_j.get(6, 0)
-        == profile.n_4_6_prime + profile.n_4_6_doubleprime,
-        weighted_degree_row=weighted >= 2 * n4,
-        deg5_capacity_row=4 * profile.count_degree(5)
-        >= 3 * profile.n_4_j.get(5, 0) + profile.n_4_6_prime,
-        deg6_capacity_row=6 * profile.count_degree(6)
-        >= profile.n_4_6_prime + 2 * profile.n_4_6_doubleprime,
-        high_degree_rows=all(
-            j * profile.n_i.get(j, 0) >= profile.n_4_j.get(j, 0)
-            for j in range(7, n)
-        ),
+        four_connected=sparse_k_connected(g, None, 4),
+        **rows,
         neighborhood_degree_sums=nbhd_sums_ok,
         max_two_degree4_neighbors=claim4_ok,
         degree5_not_all_degree4=claim3_ok,

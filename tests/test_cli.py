@@ -4,7 +4,7 @@ import pytest
 
 from conftest import ORDER8_CONJECTURE2_FLAGS
 from forestcut import cli
-from forestcut.constructions import conjecture2_family
+from forestcut.constructions import conjecture2_family, cycle_diagonals_universal, fixture
 from forestcut.graph import parse_graph6, write_graph6
 from forestcut.planar import octahedron_triangulation, write_rotation_system
 from forestcut.verify import CLAIM_NAMES, Density, canonical_graph6
@@ -21,6 +21,55 @@ STACKED_9_7_ROT = """9
 6: 4 2 0
 7: 1 3 8 0
 8: 7 3 0
+"""
+
+
+# `forestcut audit` stdout, byte for byte.  The order-10 graph has degree-4
+# vertices under a degree-5 top neighbour and under one or two degree-6 ones.
+AUDIT_ORDER10_GRAPH6 = "I|ceO}E@w"
+AUDIT_ICOSAHEDRON = """four_connected holds
+partition_row_deg4 holds
+partition_row_top6 holds
+weighted_degree_row holds
+deg5_capacity_row holds
+deg6_capacity_row holds
+high_degree_rows holds
+neighborhood_degree_sums holds
+max_two_degree4_neighbors holds
+degree5_not_all_degree4 holds
+"""
+AUDIT_GK3 = """four_connected FAILS
+partition_row_deg4 holds
+partition_row_top6 holds
+weighted_degree_row FAILS
+deg5_capacity_row holds
+deg6_capacity_row holds
+high_degree_rows holds
+neighborhood_degree_sums holds
+max_two_degree4_neighbors holds
+degree5_not_all_degree4 holds
+"""
+AUDIT_CDU4 = """four_connected holds
+partition_row_deg4 holds
+partition_row_top6 holds
+weighted_degree_row FAILS
+deg5_capacity_row holds
+deg6_capacity_row holds
+high_degree_rows holds
+neighborhood_degree_sums holds
+max_two_degree4_neighbors FAILS
+degree5_not_all_degree4 holds
+"""
+AUDIT_ORDER10 = """four_connected FAILS
+partition_row_deg4 holds
+partition_row_top6 holds
+weighted_degree_row holds
+deg5_capacity_row FAILS
+deg6_capacity_row holds
+high_degree_rows holds
+neighborhood_degree_sums FAILS
+max_two_degree4_neighbors FAILS
+degree5_not_all_degree4 holds
 """
 
 
@@ -244,6 +293,48 @@ class TestGenCommand:
         code = cli.run(["gen", "--family", "band", "--n", "7", "--c", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "family, given, missing",
+        [
+            ("band", [], "--n"),
+            ("band", ["--n", "8"], "--c"),
+            ("band", ["--c", "4"], "--n"),
+            ("gk", [], "--k"),
+            ("cdu", [], "--k"),
+            ("stacked", [], "--n"),
+            ("fixture", [], "--name"),
+            ("glue", [], "--a"),
+            ("glue", ["--a", "octahedron"], "--b"),
+            ("glue", ["--a", "octahedron", "--b", "octahedron"], "--clique-a"),
+            ("glue", ["--a", "octahedron", "--b", "octahedron", "--clique-a", "0,1,2"],
+             "--clique-b"),
+        ],
+    )
+    def test_missing_family_option_exit_2(self, capsys, family, given, missing):
+        code = cli.run(["gen", "--family", family, *given])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --family {family} needs {missing}\n"
+
+    @pytest.mark.parametrize(
+        "option, value, want",
+        [
+            ("--clique-a", "0,x", "comma-separated integers"),
+            ("--clique-a", "", "comma-separated integers"),
+            ("--clique-b", "0,,2", "comma-separated integers"),
+        ],
+    )
+    def test_bad_clique_names_the_option(self, capsys, option, value, want):
+        argv = ["gen", "--family", "glue", "--a", "octahedron", "--b", "octahedron",
+                "--clique-a", "0,1,2", "--clique-b", "0,1,2"]
+        argv[argv.index(option) + 1] = value
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {option} expects {want}, got {value!r}\n"
+
     def test_usage_error_exit_2(self, capsys):
         assert cli.run(["gen", "--family", "nosuch"]) == 2
 
@@ -264,6 +355,18 @@ class TestPlanarCutCommand:
         gm = delete_edge(tri.graph, 0, 1)
         assert is_vertex_cut(gm, vertex_set(cut))
         assert induced_is_forest(gm, vertex_set(cut))
+
+    @pytest.mark.parametrize("edge", ["x", "0", "0,1,2", "0,y", ""])
+    def test_bad_edge_names_the_option(self, capsys, tmp_path, edge):
+        path = tmp_path / "octa.rot"
+        path.write_text(write_rotation_system(octahedron_triangulation().embedding))
+        code = cli.run(["planar-cut", "--input", str(path), "--edge", edge])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --edge expects 2 comma-separated integers, got {edge!r}\n"
+        )
 
     def test_vertex_listed_twice_exit_2(self, capsys, tmp_path):
         path = tmp_path / "twice.rot"
@@ -311,6 +414,22 @@ class TestAuditCommand:
         table = dict(ln.split() for ln in lines)
         assert table["neighborhood_degree_sums"] == "FAILS"
         assert table["partition_row_top6"] == "holds"
+
+    @pytest.mark.parametrize(
+        "graph, want",
+        [
+            (lambda: fixture("icosahedron"), AUDIT_ICOSAHEDRON),
+            (lambda: conjecture2_family(3), AUDIT_GK3),
+            (lambda: cycle_diagonals_universal(4), AUDIT_CDU4),
+            (lambda: parse_graph6(AUDIT_ORDER10_GRAPH6), AUDIT_ORDER10),
+        ],
+        ids=["icosahedron", "gk3", "cdu4", "order10"],
+    )
+    def test_output_pinned(self, capsys, tmp_path, graph, want):
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(graph()) + "\n")
+        code = cli.run(["audit", "--input", str(path)])
+        assert (code, capsys.readouterr().out) == (0, want)
 
 
 class TestDeterminism:

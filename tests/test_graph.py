@@ -6,7 +6,6 @@ from forestcut.constructions import conjecture2_family, fixture
 from forestcut.graph import (
     build_graph,
     components,
-    degree_profile,
     degree_sum,
     induced_is_forest,
     is_vertex_cut,
@@ -18,6 +17,7 @@ from forestcut.graph import (
     write_edge_list,
     write_graph6,
 )
+from forestcut.lp import build_primal, check_feasible, profile_point
 
 
 def k4():
@@ -188,38 +188,57 @@ class TestVertexConnectivity:
                 assert vertex_connectivity_at_least(g, k) == expected
 
 
+def partition_row_holds(g):
+    """Whether g's profile point satisfies the deg4-partition row."""
+    report = check_feasible(build_primal(max(g.order, 8)), profile_point(g))
+    return report.row("deg4-partition").satisfied
+
+
+def split_counts(point):
+    return [count for var, count in point.items() if var.startswith("n_4^") and "'" not in var]
+
+
 class TestDegreeProfile:
     def test_octahedron_partition_invalid(self):
-        profile = degree_profile(fixture("octahedron"))
-        assert profile.count_degree(4) == 6
-        assert all(v == 0 for v in profile.n_4_j.values())
-        assert not profile.partition_valid
+        g = fixture("octahedron")
+        point = profile_point(g)
+        assert point["n_4"] == 6
+        assert all(v == 0 for v in split_counts(point))
+        assert not partition_row_holds(g)
 
     def test_icosahedron_five_regular(self):
-        profile = degree_profile(fixture("icosahedron"))
-        assert profile.count_degree(5) == 12
-        assert sum(profile.n_i.values()) == 12
-        assert profile.partition_valid
+        g = fixture("icosahedron")
+        point = profile_point(g)
+        assert point["n_5"] == 12
+        assert sum(point[f"n_{i}"] for i in range(4, 12)) == 12
+        assert partition_row_holds(g)
 
     def test_conjecture2_family_degrees(self):
         g = conjecture2_family(1)
         degrees = sorted(g.degree(v) for v in range(g.order))
         assert degrees == [3, 3, 4, 4, 4, 4, 6]
-        profile = degree_profile(g)
-        assert profile.count_degree(4) == 4
-        assert profile.count_degree(6) == 1
-        assert profile.partition_valid
-        assert profile.n_4_j[6] == 4
-        assert profile.n_4_6_prime == 4 and profile.n_4_6_doubleprime == 0
+        point = profile_point(g)
+        assert set(point) == set(build_primal(8).variables)
+        assert point["n_4"] == 4
+        assert point["n_6"] == 1
+        assert partition_row_holds(g)
+        assert point["n_4^6"] == 4
+        assert point["n_4^6'"] == 4 and point["n_4^6''"] == 0
 
     def test_profile_sums(self, random_connected_graph):
         for seed in range(10):
             g = random_connected_graph(9, seed)
-            profile = degree_profile(g)
+            point = profile_point(g)
             high = sum(1 for v in range(g.order) if g.degree(v) >= 4)
-            assert sum(profile.n_i.values()) == high
-            if profile.partition_valid:
-                assert profile.count_degree(4) == sum(profile.n_4_j.values())
+            assert sum(point[f"n_{i}"] for i in range(4, 9)) == high
+            topped = all(
+                any(g.degree(u) >= 5 for u in g.neighbors(v))
+                for v in range(g.order)
+                if g.degree(v) == 4
+            )
+            assert partition_row_holds(g) == topped
+            if topped:
+                assert point["n_4"] == sum(split_counts(point))
 
     def test_degree_sum_helper(self):
         g = fixture("octahedron")

@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from forestcut.constructions import cycle_diagonals_universal, fixture
-from forestcut.graph import degree_profile
 from forestcut.lp import (
     DualPoint,
     LpInstance,
@@ -14,6 +13,7 @@ from forestcut.lp import (
     check_feasible,
     objective_value,
     certificate_dual_point,
+    profile_point,
     solve_min_exact,
     solve_primal_exact,
     weak_duality_bound,
@@ -317,11 +317,8 @@ class TestWeakDualityProperty:
         n = 12
         primal = build_primal(n)
         dual = build_dual(n)
-        icosa_profile = degree_profile(fixture("icosahedron"))
-        profile_point = {v: F(0) for v in primal.variables}
-        for i, count in icosa_profile.n_i.items():
-            profile_point[f"n_{i}"] = F(count)
-        assert check_feasible(primal, profile_point).feasible
+        icosahedron = profile_point(fixture("icosahedron"))
+        assert check_feasible(primal, icosahedron).feasible
         one_fifth = {  # the balanced profile that meets the bound exactly
             v: F(0) for v in primal.variables
         }
@@ -335,18 +332,15 @@ class TestWeakDualityProperty:
             certificate_dual_point(n).assignment(),
             {v: F(0) for v in dual.variables},
         ]
-        for p in (profile_point, one_fifth):
+        for p in (icosahedron, one_fifth):
             for d in dual_points:
                 assert check_feasible(dual, d).feasible
                 assert objective_value(primal, p) >= objective_value(dual, d)
 
     def test_icosahedron_profile_objective_is_edge_count(self):
         g = fixture("icosahedron")
-        profile = degree_profile(g)
         primal = build_primal(g.order)
-        point = {v: F(0) for v in primal.variables}
-        for i, count in profile.n_i.items():
-            point[f"n_{i}"] = F(count)
+        point = profile_point(g)
         assert check_feasible(primal, point).feasible
         assert objective_value(primal, point) == g.size
 
@@ -354,14 +348,5 @@ class TestWeakDualityProperty:
         g = cycle_diagonals_universal(4)  # 9 vertices, degree-4 ring
         record = audit_claim_inequalities(g)
         assert not record.weighted_degree_row
-        profile = degree_profile(g)
-        primal = build_primal(g.order)
-        point = {v: F(0) for v in primal.variables}
-        for i, count in profile.n_i.items():
-            point[f"n_{i}"] = F(count)
-        for j, count in profile.n_4_j.items():
-            point[f"n_4^{j}"] = F(count)
-        point["n_4^6'"] = F(profile.n_4_6_prime)
-        point["n_4^6''"] = F(profile.n_4_6_doubleprime)
-        report = check_feasible(primal, point)
+        report = check_feasible(build_primal(g.order), profile_point(g))
         assert not report.row("weighted-degree").satisfied

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -7,11 +8,13 @@ from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
 from forestcut.graph import build_graph, is_connected, parse_graph6, write_graph6
+from forestcut.lp import build_primal
 from forestcut.verify import (
     CLAIM_NAMES,
     CLAIMS,
     Claim,
     Density,
+    _audit_rows,
     audit_claim_inequalities,
     canonical_form,
     canonical_graph6,
@@ -426,3 +429,84 @@ class TestAudit:
         record = audit_claim_inequalities(g)
         assert record.partition_row_top6
         assert record.high_degree_rows
+
+
+def reference_audit_rows(g):
+    """The six row fields of the audit, as hand-written inequalities over the
+    degree profile; an oracle independent of ``lp.build_primal``."""
+    n = g.order
+    degs = [g.degree(v) for v in range(n)]
+    n_i = {i: 0 for i in range(4, n)}
+    for d in degs:
+        if d >= 4:
+            n_i[d] += 1
+    n_4_j = {j: 0 for j in range(5, n)}
+    prime = doubleprime = 0
+    partition_valid = True
+    for v in range(n):
+        if degs[v] != 4:
+            continue
+        nbr_degs = [degs[u] for u in g.neighbors(v)]
+        top = max(nbr_degs)
+        if top <= 4:
+            partition_valid = False
+            continue
+        n_4_j[top] += 1
+        if top == 6:
+            if nbr_degs.count(6) == 1:
+                prime += 1
+            else:
+                doubleprime += 1
+    n4 = n_i.get(4, 0)
+    return {
+        "partition_row_deg4": partition_valid and n4 == sum(n_4_j.values()),
+        "partition_row_top6": n_4_j.get(6, 0) == prime + doubleprime,
+        "weighted_degree_row": sum(j * n_i.get(j, 0) for j in range(5, n)) >= 2 * n4,
+        "deg5_capacity_row": 4 * n_i.get(5, 0) >= 3 * n_4_j.get(5, 0) + prime,
+        "deg6_capacity_row": 6 * n_i.get(6, 0) >= prime + 2 * doubleprime,
+        "high_degree_rows": all(j * n_i.get(j, 0) >= n_4_j.get(j, 0) for j in range(7, n)),
+    }
+
+
+def _sparse_random_graph(n, seed):
+    """Seeded connected graph with n <= m < 3n where the order allows, sparse
+    enough that degree-4 vertices are common (unlike conftest's graphs)."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    target = min(rng.randrange(n, 3 * n), n * (n - 1) // 2)
+    while len(edges) < target:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return build_graph(n, sorted(edges))
+
+
+class TestAuditMatchesReference:
+    @staticmethod
+    def _rows(g):
+        record = audit_claim_inequalities(g)
+        return {name: getattr(record, name) for name in reference_audit_rows(g)}
+
+    @pytest.mark.parametrize("n", [8, 9, 20])
+    def test_reads_every_row_but_the_vertex_count(self, n):
+        # vertex-count (the n_i sum to n) fails on any graph with a vertex of
+        # degree below 4, so the audit leaves it out
+        read = [row_id for ids in _audit_rows(n).values() for row_id in ids]
+        assert sorted(read + ["vertex-count"]) == sorted(r.row_id for r in build_primal(n).rows)
+
+    def test_every_graph_up_to_order7(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                assert self._rows(g) == reference_audit_rows(g), write_graph6(g)
+
+    def test_seeded_random_graphs_up_to_order30(self):
+        outcomes = set()
+        for i in range(300):
+            g = _sparse_random_graph(8 + i % 23, 5000 + i)
+            want = reference_audit_rows(g)
+            assert self._rows(g) == want, write_graph6(g)
+            outcomes.update(want.items())
+        # the top6 split is exact by construction, and the deg6 and deg{j}
+        # capacity rows count edges into vertices of one degree, so they hold
+        # on every graph; the other three both hold and fail in this sample
+        for name in ("partition_row_deg4", "weighted_degree_row", "deg5_capacity_row"):
+            assert {(name, True), (name, False)} <= outcomes
