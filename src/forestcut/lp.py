@@ -123,8 +123,7 @@ def profile_point(g: Graph) -> dict[str, int]:
     degree 6.  A degree-4 vertex with no neighbour of degree 5 or more counts
     in ``n_4`` only, so the point fails the ``deg4-partition`` row.
     """
-    deg_vars, split_vars = _primal_variables(max(g.order, 8))
-    point = dict.fromkeys(deg_vars + split_vars + ["n_4^6'", "n_4^6''"], 0)
+    point = dict.fromkeys(build_primal(max(g.order, 8)).variables, 0)
     degs = [g.degree(v) for v in range(g.order)]
     for v, d in enumerate(degs):
         if d < 4:

@@ -118,8 +118,6 @@ class TestCheckCommand:
 
     def test_exhaustive_flag(self, capsys, tmp_path):
         path = tmp_path / "octa.g6"
-        from forestcut.constructions import fixture
-
         path.write_text(write_graph6(fixture("octahedron")) + "\n")
         code, lines = run_lines(capsys, ["check", "--input", str(path), "--exhaustive"])
         assert code == 0
@@ -405,8 +403,6 @@ class TestLpCommand:
 
 class TestAuditCommand:
     def test_octahedron(self, capsys, tmp_path):
-        from forestcut.constructions import fixture
-
         path = tmp_path / "octa.g6"
         path.write_text(write_graph6(fixture("octahedron")) + "\n")
         code, lines = run_lines(capsys, ["audit", "--input", str(path)])
