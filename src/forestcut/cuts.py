@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .graph import (
     Graph,
@@ -161,6 +161,16 @@ def universal_vertex_reduction(g: Graph) -> Optional[tuple[int, Graph]]:
     return None
 
 
+def _first_cut(g: Graph, accept: Callable[[int], bool], kind: str) -> Optional[CutWitness]:
+    """The first minimal separator the walk meets that ``accept`` takes, as a witness."""
+    if is_complete(g):
+        return None
+    for s in enumerate_minimal_separators(g):
+        if accept(s):
+            return _make_witness(g, s, kind)
+    return None
+
+
 def find_forest_cut(g: Graph) -> Optional[CutWitness]:
     """Separator-driven forest-cut finder, existence-equivalent to the oracle.
 
@@ -172,22 +182,12 @@ def find_forest_cut(g: Graph) -> Optional[CutWitness]:
     sparse instances this package targets.
     """
     _require_connected(g)
-    if is_complete(g):
-        return None
-    for s in enumerate_minimal_separators(g):
-        if induced_is_forest(g, s):
-            return _make_witness(g, s, FOREST)
-    return None
+    return _first_cut(g, lambda s: induced_is_forest(g, s), FOREST)
 
 
 def find_independent_cut(g: Graph) -> Optional[CutWitness]:
     _require_connected(g)
-    if is_complete(g):
-        return None
-    for s in enumerate_minimal_separators(g):
-        if is_independent_set(g, s):
-            return _make_witness(g, s, INDEPENDENT)
-    return None
+    return _first_cut(g, lambda s: is_independent_set(g, s), INDEPENDENT)
 
 
 def find_independent_cut_avoiding(g: Graph, u: int) -> Optional[CutWitness]:
@@ -195,12 +195,7 @@ def find_independent_cut_avoiding(g: Graph, u: int) -> Optional[CutWitness]:
     _require_connected(g)
     if not 0 <= u < g.order:
         raise ValueError(f"vertex {u} outside graph of order {g.order}")
-    if is_complete(g):
-        return None
-    for s in enumerate_minimal_separators(g):
-        if not s >> u & 1 and is_independent_set(g, s):
-            return _make_witness(g, s, INDEPENDENT)
-    return None
+    return _first_cut(g, lambda s: not s >> u & 1 and is_independent_set(g, s), INDEPENDENT)
 
 
 def all_minimal_forest_cuts(g: Graph) -> list[int]:

@@ -2,6 +2,9 @@
 
 build_primal is the one place the paper's counting inequalities are
 written; profile_point reads a graph's degree counts as a point of it.
+The optimum 11n/5 is proved by two certificates rather than solved for:
+primal_optimum_point is a feasible primal point and certificate_dual_point
+a feasible dual point, and their objectives are equal.
 
 Everything here is exact rational arithmetic: the certificate values have
 denominators like 70, and the whole point of this module is that no
@@ -217,6 +220,18 @@ def certificate_dual_point(n: int) -> DualPoint:
     )
 
 
+def primal_optimum_point(n: int) -> dict[str, Fraction]:
+    """The explicit feasible primal point with objective 11n/5; every row is tight.
+
+    In fifteenths of n: 11 vertices of degree 4, 3 of degree 5, 1 of degree 7;
+    4 of the degree-4 ones have a degree-5 top neighbour, 7 a degree-7 one.
+    """
+    point = dict.fromkeys(build_primal(n).variables, ZERO)
+    k = Fraction(n, 15)
+    point.update({"n_4": 11 * k, "n_5": 3 * k, "n_7": k, "n_4^5": 4 * k, "n_4^7": 7 * k})
+    return point
+
+
 class RowCheck(NamedTuple):
     """One evaluated row: lhs and slack are lhs_num/den and slack_num/den.
 
@@ -311,133 +326,38 @@ def objective_value(instance: LpInstance, point: Mapping[str, Fraction]) -> Frac
     return sum((c * point[v] for v, c in instance.objective.items()), ZERO)
 
 
+def _violations(report: FeasibilityReport) -> list[str]:
+    """The failed rows' ids, then the variables below their sign bound."""
+    return [r.row_id for r in report.rows if not r.satisfied] + list(report.bound_violations)
+
+
 def weak_duality_bound(n: int, point: DualPoint) -> Fraction:
     """Certified lower bound n*x1 on the primal optimum, after a feasibility check."""
     report = check_feasible(build_dual(n), point.assignment())
     if not report.feasible:
-        bad = [r.row_id for r in report.rows if not r.satisfied]
-        bad.extend(report.bound_violations)
-        raise ValueError(f"certificate violates {bad}")
+        raise ValueError(f"certificate violates {_violations(report)}")
     return Fraction(n) * point.x1
 
 
-# ---------------------------------------------------------------------------
-# exact primal solve: dense two-phase simplex, Bland's least-index rule
-
-
 def solve_primal_exact(n: int) -> Fraction:
-    """Exact optimum of the primal program; stays at or above 11n/5."""
+    """Exact optimum of the primal program, 11n/5, proved by two certificates.
+
+    ``primal_optimum_point(n)`` is feasible, so the optimum is at most its
+    objective; ``certificate_dual_point(n)`` is dual feasible, so by weak
+    duality the optimum is at least n*x1.  Both are checked exactly here,
+    and the two bounds must meet.
+    """
     if n < 8:
         raise ValueError(f"the program needs n >= 8, got {n}")
-    if n > 64:
-        raise ValueError(f"exact solve is sized for n <= 64, got {n}")
-    return solve_min_exact(build_primal(n))
+    primal = build_primal(n)
+    point = primal_optimum_point(n)
+    report = check_feasible(primal, point)
+    if not report.feasible:
+        raise ValueError(f"primal point violates {_violations(report)}")
+    bound = weak_duality_bound(n, certificate_dual_point(n))
+    value = objective_value(primal, point)
+    if value != bound:
+        raise ValueError(f"primal objective {value} differs from the dual bound {bound}")
+    return value
 
 
-def solve_min_exact(instance: LpInstance) -> Fraction:
-    """Minimize a program whose variables are all sign-restricted."""
-    assert instance.sense == "min"
-    assert instance.nonnegative == frozenset(instance.variables)
-    index = {v: i for i, v in enumerate(instance.variables)}
-    nvars = len(instance.variables)
-    slack_rows = [r for r in instance.rows if r.relation in ("<=", ">=")]
-    total = nvars + len(slack_rows)
-    m = len(instance.rows)
-
-    body = []
-    rhs = []
-    slack_at = 0
-    for r in instance.rows:
-        dense = [ZERO] * total
-        for v, c in r.coeffs.items():
-            dense[index[v]] = c
-        if r.relation == "<=":
-            dense[nvars + slack_at] = Fraction(1)
-            slack_at += 1
-        elif r.relation == ">=":
-            dense[nvars + slack_at] = Fraction(-1)
-            slack_at += 1
-        b = r.rhs
-        if b < 0:
-            dense = [-a for a in dense]
-            b = -b
-        body.append(dense)
-        rhs.append(b)
-
-    # phase 1: artificial basis
-    tableau = []
-    for i in range(m):
-        tableau.append(
-            body[i] + [Fraction(1) if k == i else ZERO for k in range(m)] + [rhs[i]]
-        )
-    basis = [total + i for i in range(m)]
-    cost1 = [ZERO] * total + [Fraction(1)] * m
-    _append_objective(tableau, basis, cost1)
-    _run_bland(tableau, basis, total + m)
-    if -tableau[-1][-1] != 0:
-        raise ValueError("phase 1 ended positive: instance infeasible")
-
-    # pivot artificials out of the basis, dropping redundant rows
-    tableau.pop()
-    keep = []
-    for i in range(len(basis)):
-        if basis[i] < total:
-            keep.append(i)
-            continue
-        col = next((j for j in range(total) if tableau[i][j] != 0), None)
-        if col is None:
-            continue  # all-zero row: redundant constraint
-        _pivot(tableau, basis, i, col)
-        keep.append(i)
-    tableau = [tableau[i][:total] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    cost2 = [instance.objective.get(v, ZERO) for v in instance.variables]
-    cost2 += [ZERO] * (total - nvars)
-    _append_objective(tableau, basis, cost2)
-    _run_bland(tableau, basis, total)
-    return -tableau[-1][-1]
-
-
-def _append_objective(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> None:
-    width = len(tableau[0]) - 1
-    obj = [cost[j] if j < len(cost) else ZERO for j in range(width)] + [ZERO]
-    for i, bvar in enumerate(basis):
-        c = cost[bvar] if bvar < len(cost) else ZERO
-        if c:
-            obj = [a - c * b for a, b in zip(obj, tableau[i])]
-    tableau.append(obj)
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [a / piv for a in tableau[row]]
-    for i in range(len(tableau)):
-        if i == row:
-            continue
-        f = tableau[i][col]
-        if f:
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[row])]
-    if row < len(basis):
-        basis[row] = col
-
-
-def _run_bland(tableau: list[list[Fraction]], basis: list[int], width: int) -> None:
-    m = len(tableau) - 1
-    while True:
-        obj = tableau[m]
-        col = next((j for j in range(width) if obj[j] < 0), None)
-        if col is None:
-            return
-        pick = None
-        best = None
-        for i in range(m):
-            a = tableau[i][col]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pick]):
-                    best = ratio
-                    pick = i
-        if pick is None:
-            raise ValueError("column with no positive entry: unbounded")
-        _pivot(tableau, basis, pick, col)

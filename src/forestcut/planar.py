@@ -10,7 +10,8 @@ are either generator outputs or parsed rotation files.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, add_vertex, build_graph, components, vertex_set
@@ -33,6 +34,11 @@ class RotationSystem:
         for v, row in enumerate(self.rot):
             if vertex_set(row) != g.adj[v] or len(row) != g.degree(v):
                 raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
+
+    @cached_property
+    def _faces(self) -> tuple[FaceDarts, ...]:
+        """The faces as dart cycles in trace order, traced on first use and kept."""
+        return tuple(_face_darts(self))
 
 
 def _face_darts(system: RotationSystem) -> list[FaceDarts]:
@@ -77,31 +83,26 @@ def _min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
 
 def faces(system: RotationSystem) -> list[tuple[int, ...]]:
     """All faces as vertex cycles, each rotated to start at its minimum."""
-    return [_min_rotation([d[0] for d in f]) for f in _face_darts(system)]
+    return [_min_rotation([d[0] for d in f]) for f in system._faces]
 
 
 def is_plane_triangulation(system: RotationSystem) -> bool:
-    return all(len(f) == 3 for f in _face_darts(system))
+    return all(len(f) == 3 for f in system._faces)
 
 
 @dataclass(frozen=True)
 class PlaneTriangulation:
-    """A rotation system all of whose faces are triangles, plus an outer face.
-
-    The faces are traced once, here, and kept as dart cycles in trace order.
-    """
+    """A rotation system all of whose faces are triangles, plus an outer face."""
 
     embedding: RotationSystem
     outer_face: tuple[int, int, int]
-    _faces: tuple[FaceDarts, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        face_list = tuple(_face_darts(self.embedding))
+        face_list = self.embedding._faces
         if any(len(f) != 3 for f in face_list):
             raise ValueError("embedding has a non-triangular face")
         if _match_face(face_list, self.outer_face) is None:
             raise ValueError(f"{self.outer_face} is not a face of the embedding")
-        object.__setattr__(self, "_faces", face_list)
 
     @property
     def graph(self) -> Graph:
@@ -123,7 +124,7 @@ def reroot(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
 
 def face_containing_edge(system: RotationSystem, u: int, v: int) -> tuple[int, ...]:
     """The first traced face bounded by the edge uv, as a vertex tuple."""
-    for f in _face_darts(system):
+    for f in system._faces:
         if (u, v) in f or (v, u) in f:
             return tuple(d[0] for d in f)
     raise ValueError(f"({u}, {v}) does not bound a face")
@@ -137,7 +138,7 @@ def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangula
     face cycle reversed.
     """
     system = tri.embedding
-    target = _match_face(tri._faces, tuple(face))
+    target = _match_face(system._faces, tuple(face))
     if target is None:
         raise ValueError(f"{tuple(face)} is not a face of the embedding")
     g = system.graph
@@ -203,8 +204,9 @@ def random_stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
     tri = k4_triangulation()
     rng = random.Random(seed)
     while tri.graph.order < n:
-        outer = _match_face(tri._faces, tri.outer_face)
-        candidates = [f for f in tri._faces if f is not outer]
+        face_list = tri.embedding._faces
+        outer = _match_face(face_list, tri.outer_face)
+        candidates = [f for f in face_list if f is not outer]
         choice = candidates[rng.randrange(len(candidates))]
         tri = stack_vertex(tri, tuple(d[0] for d in choice))
     return tri

@@ -334,6 +334,10 @@ class AuditRecord:
     These are asserted only for a hypothetical minimum counterexample, so
     failures on ordinary graphs are expected and informative, not bugs.
     ``_audit_rows`` names the ``lp.build_primal`` rows of the six row fields.
+    Three of them hold on every graph and so say nothing about one:
+    ``partition_row_top6`` by the definition of n_4^6' and n_4^6'', and
+    ``deg6_capacity_row`` and ``high_degree_rows`` because a degree-j vertex
+    has at most j degree-4 neighbours.
     """
 
     four_connected: bool            # no vertex cut of size 3 or less

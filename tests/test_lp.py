@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from forestcut import lp
 from forestcut.constructions import cycle_diagonals_universal, fixture
 from forestcut.lp import (
     DualPoint,
@@ -13,8 +14,8 @@ from forestcut.lp import (
     check_feasible,
     objective_value,
     certificate_dual_point,
+    primal_optimum_point,
     profile_point,
-    solve_min_exact,
     solve_primal_exact,
     weak_duality_bound,
 )
@@ -188,6 +189,20 @@ class TestCertificateDualPoint:
         assert set(point.y) == set(range(5, 12))
 
 
+class TestPrimalOptimumPoint:
+    def test_values(self):
+        point = primal_optimum_point(12)
+        assert set(point) == set(build_primal(12).variables)
+        nonzero = {v: x for v, x in point.items() if x}
+        assert nonzero == {
+            "n_4": F(44, 5), "n_5": F(12, 5), "n_7": F(4, 5), "n_4^5": F(16, 5), "n_4^7": F(28, 5)
+        }
+
+    def test_too_small(self):
+        with pytest.raises(ValueError, match="the program needs n >= 8, got 7"):
+            primal_optimum_point(7)
+
+
 class TestCheckFeasible:
     def test_certificate_point_n20(self):
         report = check_feasible(build_dual(20), certificate_dual_point(20).assignment())
@@ -276,8 +291,49 @@ class TestSolvePrimalExact:
         with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
             solve_primal_exact(7)
         assert exc.traceback[-1].name == "solve_primal_exact"
-        with pytest.raises(ValueError):
-            solve_primal_exact(65)
+        assert solve_primal_exact(65) == 143
+
+    @pytest.mark.parametrize("n", [*range(8, 65), 65, 100, 1000])
+    def test_equals_eleven_fifths_n(self, n):
+        assert solve_primal_exact(n) == F(11 * n, 5)
+
+    @pytest.mark.parametrize("n", [8, 64, 1000])
+    def test_every_primal_row_tight(self, n):
+        report = check_feasible(build_primal(n), primal_optimum_point(n))
+        assert report.feasible
+        assert [r.row_id for r in report.rows if r.slack != 0] == []
+
+    def test_perturbed_primal_point_rejected(self, monkeypatch):
+        def moved(n):
+            point = primal_optimum_point(n)
+            point["n_7"] -= F(n, 15)
+            point["n_5"] += F(n, 15)
+            return point
+
+        monkeypatch.setattr(lp, "primal_optimum_point", moved)
+        with pytest.raises(
+            ValueError, match=r"primal point violates \['weighted-degree', 'deg7-capacity'\]"
+        ):
+            solve_primal_exact(9)
+
+    def test_perturbed_dual_point_rejected(self, monkeypatch):
+        def moved(n):
+            point = certificate_dual_point(n)
+            return DualPoint(point.x1, point.x2, point.x3, point.x4, {**point.y, 7: F(1, 3)})
+
+        monkeypatch.setattr(lp, "certificate_dual_point", moved)
+        with pytest.raises(ValueError, match=r"certificate violates \['n_7'\]"):
+            solve_primal_exact(9)
+
+    def test_feasible_primal_point_above_the_bound_rejected(self, monkeypatch):
+        def all_top_degree(n):  # every vertex of degree n - 1: feasible, objective n(n-1)/2
+            point = dict.fromkeys(build_primal(n).variables, F(0))
+            point[f"n_{n - 1}"] = F(n)
+            return point
+
+        monkeypatch.setattr(lp, "primal_optimum_point", all_top_degree)
+        with pytest.raises(ValueError, match="primal objective 36 differs from the dual bound 99/5"):
+            solve_primal_exact(9)
 
     def test_undeclared_variable_rejected(self):
         from forestcut.lp import LpInstance, LpRow
@@ -291,23 +347,6 @@ class TestSolvePrimalExact:
                 rows=(LpRow("r", {"ghost": F(1)}, "<=", F(0)),),
                 nonnegative=frozenset(("x",)),
             )
-
-    def test_generic_solver_on_known_instance(self):
-        # min x + y subject to x + y >= 2, x - y = 0, x,y >= 0 has optimum 2
-        from forestcut.lp import LpInstance, LpRow
-
-        inst = LpInstance(
-            name="toy",
-            sense="min",
-            variables=("x", "y"),
-            objective={"x": F(1), "y": F(1)},
-            rows=(
-                LpRow("lower", {"x": F(1), "y": F(1)}, ">=", F(2)),
-                LpRow("tie", {"x": F(1), "y": F(-1)}, "=", F(0)),
-            ),
-            nonnegative=frozenset(("x", "y")),
-        )
-        assert solve_min_exact(inst) == 2
 
 
 class TestWeakDualityProperty:

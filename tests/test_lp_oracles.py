@@ -2,14 +2,23 @@
 
 hypothesis drives check_feasible against naive Fraction arithmetic on random
 programs; scipy's HiGHS solver re-derives the primal optimum in floating
-point.  Each is skipped where its package is not installed.
+point, independently of the two certificates that prove it exactly.  Each
+is skipped where its package is not installed.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from forestcut.lp import LpInstance, LpRow, build_primal, check_feasible, solve_primal_exact
+from forestcut.lp import (
+    LpInstance,
+    LpRow,
+    build_primal,
+    check_feasible,
+    objective_value,
+    primal_optimum_point,
+    solve_primal_exact,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -56,8 +65,8 @@ def test_check_feasible_matches_naive_fraction_evaluation(case):
     assert report.feasible == (not violations and all(r.satisfied for r in report.rows))
 
 
-@pytest.mark.parametrize("n", [8, 20, 40, 64])
-def test_highs_primal_optimum_matches_exact_simplex(n):
+@pytest.mark.parametrize("n", [*range(8, 65), 65, 100])
+def test_highs_primal_optimum_matches_certificates(n):
     optimize = pytest.importorskip("scipy.optimize")
     primal = build_primal(n)
     assert primal.nonnegative == frozenset(primal.variables)
@@ -83,4 +92,7 @@ def test_highs_primal_optimum_matches_exact_simplex(n):
     )
     assert result.status == 0, result.message
     assert result.fun == pytest.approx(float(solve_primal_exact(n)), rel=0, abs=1e-9)
+    assert result.fun == pytest.approx(
+        float(objective_value(primal, primal_optimum_point(n))), rel=0, abs=1e-9
+    )
     assert result.fun == pytest.approx(11 * n / 5, rel=0, abs=1e-9)

@@ -188,8 +188,13 @@ class TestStackVertex:
         t = random_stacked_triangulation(100, 3)
         assert len(calls) == 97  # K4, then one per stacked vertex
         prop1_forest_cut(t, t.outer_face[:2])
+        edges = list(t.graph.edges())
+        for u, v in edges[::len(edges) // 4][:4]:
+            rooted = reroot(t, face_containing_edge(t.embedding, u, v))
+            prop1_forest_cut(rooted, (u, v))
+        assert len(calls) == 97  # the edge picks reuse the generator's trace
         stack_vertex(t, faces(t.embedding)[5])
-        assert len(calls) == 99  # faces() and the new triangulation
+        assert len(calls) == 98  # only the new triangulation traces
 
     def test_generator_sizes(self):
         for n in range(4, 13):
