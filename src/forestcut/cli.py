@@ -55,6 +55,10 @@ def _print_witness(w: cuts.CutWitness | None) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.kind == "forest" and args.avoid is not None:
+        raise ValueError("--avoid applies only to --kind independent")
+    if args.kind == "independent" and args.exhaustive:
+        raise ValueError("--exhaustive applies only to --kind forest")
     g = _load_graph(args.input, args.format)
     if args.kind == "forest":
         finder = cuts.find_forest_cut_exhaustive if args.exhaustive else cuts.find_forest_cut
@@ -77,7 +81,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.builtin_n is not None:
-        corpus = list(verify.enumerate_connected_graphs(args.builtin_n))
+        corpus = verify.enumerate_connected_graphs(args.builtin_n)
         description = f"builtin-n{args.builtin_n}"
         report = verify.run_check(args.claim, corpus, description, args.workers)
     else:

@@ -181,18 +181,19 @@ def parse_edge_list(text: str) -> Graph:
     rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not rows:
         raise ValueError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad edge-list header {rows[0]!r}")
-    order, m = int(head[0]), int(head[1])
+    try:
+        order, m = map(int, rows[0].split())
+    except ValueError:
+        raise ValueError(f"bad edge-list header {rows[0]!r}") from None
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
     edges = []
     for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
     return build_graph(order, edges)
 
 

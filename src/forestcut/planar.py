@@ -323,12 +323,15 @@ def parse_rotation_system(text: str) -> RotationSystem:
     adj = [0] * n
     for ln in rows[1:]:
         head, _, tail = ln.partition(":")
-        v = int(head)
+        try:
+            v = int(head)
+            row = tuple(int(tok) for tok in tail.split())
+        except ValueError:
+            raise ValueError(f"bad rotation line {ln!r}") from None
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside 0..{n - 1}")
         if rot[v] is not None:
             raise ValueError(f"vertex {v} listed twice")
-        row = tuple(int(tok) for tok in tail.split())
         rot[v] = row
         adj[v] = vertex_set(row)
     return RotationSystem(Graph(n, adj), tuple(rot))

@@ -1,22 +1,21 @@
 """Exhaustive small-graph enumeration and the empirical claim checkers.
 
 Graphs up to 7 vertices are enumerated one representative per isomorphism
-class (canonical form: minimum adjacency bit string over all labelings
-compatible with an iterated degree refinement).  Larger corpora arrive as
-graph6 files.  Each claim is one row of ``CLAIMS``; ``run_check`` scans a
+class (canonical form: the least relabeled adjacency rows over the leaves of
+an individualisation-refinement search).  Larger corpora arrive as graph6
+files.  Each claim is one row of ``CLAIMS``; ``run_check`` scans a
 corpus with it and reports counterexamples in canonical graph6, so reports
 are identical no matter how many workers scanned the corpus.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import lru_cache
-from time import perf_counter
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
@@ -40,65 +39,65 @@ ENUMERATION_ORDER_CAP = 7
 # canonical forms
 
 
-def _refined_ranks(g: Graph) -> list[int]:
-    """Iterated neighbor-degree refinement; equal ranks may still be swappable."""
-    inv = [g.degree(v) for v in range(g.order)]
-    for _ in range(g.order):
-        keys = [
-            (inv[v], tuple(sorted(inv[u] for u in g.neighbors(v))))
-            for v in range(g.order)
-        ]
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == inv:
-            break
-        inv = new
-    return inv
+def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Refine ordered bit-set cells until the partition is equitable.
 
-
-def _canonicalize(g: Graph) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """Canonical key (order, min bit string) and the labeling that attains it.
-
-    Only labelings that keep refinement classes in rank order are tried,
-    which is sound because no isomorphism can move a vertex across classes.
-    Exponential only in the sizes of the residual classes, so this is meant
-    for the small orders the enumerator and the reports deal with.
+    The first cell not yet used as a splitter splits each cell by its
+    vertices' neighbour counts in the splitter, parts ordered by count, so
+    vertex names never decide the result.  A cell split by a splitter stays
+    even towards it, so each cell is a splitter at most once.
     """
-    n = g.order
-    ranks = _refined_ranks(g)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(ranks[v], []).append(v)
-    parts = [classes[r] for r in sorted(classes)]
-    adj = g.adj
-    best_bits = None
-    best_label = None
-    for combo in itertools.product(*(itertools.permutations(p) for p in parts)):
-        label = [v for part in combo for v in part]
-        bits = 0
-        for i in range(n):
-            row = adj[label[i]]
-            for j in range(i + 1, n):
-                bits = bits << 1 | (row >> label[j] & 1)
-        if best_bits is None or bits < best_bits:
-            best_bits = bits
-            best_label = tuple(label)
-    return (n, best_bits), best_label
+    used = set()
+    while len(cells) < len(adj) and (splitter := next((c for c in cells if c not in used), 0)):
+        used.add(splitter)
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            for v in iter_bits(cell):
+                k = (adj[v] & splitter).bit_count()
+                parts[k] = parts.get(k, 0) | 1 << v
+            split.extend(parts[k] for k in sorted(parts))
+        cells = split
+    return cells
 
 
-def _relabel(g: Graph, label: tuple[int, ...]) -> Graph:
-    """Copy of g in which vertex label[i] becomes vertex i."""
-    pos = {v: i for i, v in enumerate(label)}
-    adj = [0] * g.order
-    for v in range(g.order):
-        for u in iter_bits(g.adj[v]):
-            adj[pos[v]] |= 1 << pos[u]
-    return Graph(g.order, adj)
+def _canonical_rows(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The least relabeled adjacency rows over the leaves of a search.
+
+    A node refines its cells and branches on each vertex of the first cell
+    with more than one vertex, singled out in front of the rest.  It skips a
+    vertex whose twin (same neighbours apart from each other) was tried:
+    swapping twins fixes every cell, so both subtrees reach the same graphs.
+    Other symmetry is not pruned and multiplies the leaves.
+    """
+    n = len(adj)
+    best = None
+    stack = [[(1 << n) - 1]]
+    while stack:
+        cells = _refine(adj, stack.pop())
+        target = next((c for c in cells if c & (c - 1)), 0)
+        if target:
+            at = cells.index(target)
+            tried: list[int] = []
+            for v in iter_bits(target):
+                if all(adj[u] & ~(1 << v) != adj[v] & ~(1 << u) for u in tried):
+                    tried.append(v)
+                    stack.append(cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1:])
+        else:
+            label = [cell.bit_length() - 1 for cell in cells]
+            pos = {v: i for i, v in enumerate(label)}
+            rows = tuple(sum(1 << pos[u] for u in iter_bits(adj[v])) for v in label)
+            if best is None or rows < best:
+                best = rows
+    return best
 
 
 def canonical_form(g: Graph) -> Graph:
     """Isomorphic copy relabeled into canonical position."""
-    return _relabel(g, _canonicalize(g)[1])
+    return Graph(g.order, _canonical_rows(g.adj))
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -114,14 +113,12 @@ def _graph_classes(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, grown one vertex at a time."""
     if n == 1:
         return (Graph(1, (0,)),)
-    out: dict[tuple[int, int], Graph] = {}
-    for g in _graph_classes(n - 1):
-        for s in range(1 << (n - 1)):
-            h = add_vertex(g, s)
-            key, label = _canonicalize(h)
-            if key not in out:
-                out[key] = _relabel(h, label)
-    return tuple(out[k] for k in sorted(out))
+    classes = {
+        _canonical_rows(add_vertex(g, s).adj)
+        for g in _graph_classes(n - 1)
+        for s in range(1 << (n - 1))
+    }
+    return tuple(Graph(n, rows) for rows in sorted(classes))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -277,7 +274,6 @@ class CheckReport:
     corpus: str
     scanned: int
     counterexamples: tuple[str, ...]
-    elapsed: float = field(compare=False, default=0.0)
 
     def format(self) -> str:
         lines = [f"{self.claim} {self.corpus} {self.scanned} {len(self.counterexamples)}"]
@@ -285,34 +281,29 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _scan_chunk(args: tuple[str, list[Graph]]) -> list[str]:
-    claim, graphs = args
-    flags = CLAIMS[claim].flags
-    return [canonical_graph6(g) for g in graphs if flags(g)]
+def _scan(claim: str, g: Graph) -> str:
+    """The canonical graph6 of g when ``claim`` flags it, else ``""``."""
+    return canonical_graph6(g) if CLAIMS[claim].flags(g) else ""
 
 
 def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
               workers: int = 1) -> CheckReport:
-    """Scan a corpus for counterexamples; result independent of worker count."""
+    """Scan a corpus as it streams in; the report is independent of worker count."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIM_NAMES}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    graphs = list(corpus)
+    scan = partial(_scan, claim)
+    scanned = 0
+    flagged = []
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for g6 in pool.map(scan, corpus, chunksize=128) if pool else map(scan, corpus):
+            scanned += 1
+            if g6:
+                flagged.append(g6)
     if isinstance(corpus, Graph6Corpus):
         description = corpus.describe()
-    start = perf_counter()
-    if workers <= 1 or len(graphs) < 2 * workers:
-        flagged = _scan_chunk((claim, graphs))
-    else:
-        step = (len(graphs) + workers - 1) // workers
-        chunks = [graphs[i:i + step] for i in range(0, len(graphs), step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, [(claim, c) for c in chunks]))
-        flagged = [g6 for part in parts for g6 in part]
-    flagged.sort()
-    return CheckReport(claim, description, len(graphs), tuple(flagged),
-                       perf_counter() - start)
+    return CheckReport(claim, description, scanned, tuple(sorted(flagged)))
 
 
 # ---------------------------------------------------------------------------

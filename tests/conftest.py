@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from forestcut.constructions import fixture
+from forestcut.constructions import conjecture2_family, fixture
 from forestcut.graph import Graph, build_graph, is_connected
 
 # The 3-connected graphs on 7 vertices with m < 11n/5 - 18/5.  All three have
@@ -24,6 +24,19 @@ ORDER8_CONJECTURE2_FLAGS = ("GJ]KlK", "GJem^_", "GLYR[{", "GxSW~K")
 def census7_expected() -> list[Graph]:
     """The expected 7-vertex census: fig1_c, fig1_d, then the non-planar graph."""
     return [fixture("fig1_c"), fixture("fig1_d"), build_graph(7, CENSUS7_NONPLANAR_EDGES)]
+
+
+def symmetric_graphs() -> dict[str, Graph]:
+    """Graphs with large automorphism groups, so refinement alone barely splits them."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    return {
+        "petersen": build_graph(10, petersen),
+        "icosahedron": fixture("icosahedron"),
+        "c12": build_graph(12, [(i, (i + 1) % 12) for i in range(12)]),
+        "gk8": conjecture2_family(8),
+        "k12": build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]),
+    }
 
 
 def _random_connected_graph(n: int, seed: int) -> Graph:

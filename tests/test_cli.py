@@ -146,6 +146,24 @@ class TestCheckCommand:
             "the empty set separates a disconnected one\n"
         )
 
+    def test_avoid_with_forest_kind_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "c4.g6"
+        path.write_text("Cr\n")
+        code = cli.run(["check", "--input", str(path), "--kind", "forest", "--avoid", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --avoid applies only to --kind independent\n"
+
+    def test_exhaustive_with_independent_kind_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "c4.g6"
+        path.write_text("Cr\n")
+        code = cli.run(["check", "--input", str(path), "--kind", "independent", "--exhaustive"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --exhaustive applies only to --kind forest\n"
+
 
 class TestSingleGraphInput:
     @pytest.mark.parametrize("command", ["check", "audit"])

@@ -109,6 +109,14 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list("2 1\n")
 
+    def test_non_integer_header_named(self):
+        with pytest.raises(ValueError, match="^bad edge-list header '4 a'$"):
+            parse_edge_list("4 a\n0 1\n")
+
+    def test_non_integer_edge_line_named(self):
+        with pytest.raises(ValueError, match="^bad edge line '1 x'$"):
+            parse_edge_list("2 1\n1 x\n")
+
 
 class TestInducedIsForest:
     def test_octahedron_four_cycle(self):

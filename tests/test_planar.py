@@ -323,6 +323,11 @@ class TestRotationFiles:
         with pytest.raises(ValueError):
             parse_rotation_system("2\n0: 1\n")
 
+    @pytest.mark.parametrize("line", ["x: 0", "0: 1 y"])
+    def test_non_integer_rotation_line_named(self, line):
+        with pytest.raises(ValueError, match=f"^bad rotation line {re.escape(repr(line))}$"):
+            parse_rotation_system(f"2\n{line}\n1: 0\n")
+
     def test_vertex_listed_twice(self):
         text = "4\n0: 1 2\n1: 2 0\n2: 0 1\n2: 1 0\n"
         with pytest.raises(ValueError, match="^vertex 2 listed twice$"):

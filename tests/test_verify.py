@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected
+from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, symmetric_graphs
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
 from forestcut.graph import build_graph, is_connected, parse_graph6, write_graph6
@@ -145,6 +146,24 @@ class TestCanonicalForm:
 
     def test_non_isomorphic_graphs_differ(self):
         assert canonical_graph6(fixture("prism")) != canonical_graph6(fixture("k33"))
+
+    def test_every_class_up_to_7_survives_three_relabelings(self):
+        rng = random.Random(9)
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                form = canonical_graph6(g)
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    relabeled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                    assert canonical_graph6(relabeled) == form
+
+    @pytest.mark.parametrize("name", sorted(symmetric_graphs()))
+    def test_symmetric_graph_finishes_within_a_second(self, name):
+        g = symmetric_graphs()[name]
+        start = time.perf_counter()
+        canonical_graph6(g)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIngest:
