@@ -316,6 +316,8 @@ def parse_rotation_system(text: str) -> RotationSystem:
     rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not rows:
         raise ValueError("empty rotation input")
+    if not rows[0].isdecimal():
+        raise ValueError(f"bad rotation header {rows[0]!r}")
     n = int(rows[0])
     if len(rows) - 1 != n:
         raise ValueError(f"expected {n} rotation lines, found {len(rows) - 1}")

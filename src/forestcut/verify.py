@@ -2,8 +2,8 @@
 
 Graphs up to 7 vertices are enumerated one representative per isomorphism
 class (canonical form: the least relabeled adjacency rows over the leaves of
-an individualisation-refinement search).  Larger corpora arrive as graph6
-files.  Each claim is one row of ``CLAIMS``; ``run_check`` scans a
+an individualisation-refinement search, pruned by the automorphisms its
+leaves and twins reveal).  Larger corpora arrive as graph6 files.  Each claim is one row of ``CLAIMS``; ``run_check`` scans a
 corpus with it and reports counterexamples in canonical graph6, so reports
 are identical no matter how many workers scanned the corpus.
 """
@@ -64,40 +64,82 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     return cells
 
 
-def _canonical_rows(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """The least relabeled adjacency rows over the leaves of a search.
+def _closure(mask: int, perms: list, todo: int) -> int:
+    """``mask`` joined by the orbits of the points of ``todo`` under ``perms``."""
+    while todo:
+        x = todo.bit_length() - 1
+        todo ^= 1 << x
+        for p in perms:
+            y = 1 << p[x]
+            if not mask & y:
+                mask |= y
+                todo |= y
+    return mask
+
+
+def _children(adj: tuple[int, ...], cells: list[int], target: int, autos: list) -> Iterator[list[int]]:
+    """The node's cells with one vertex of ``target`` singled out, per orbit.
+
+    An automorphism that fixes the node's singletons maps each child to one
+    with the same leaf graphs.  A vertex is skipped when such a one in the
+    growing ``autos`` takes a tried one to it, or when it is a twin of one
+    (same neighbours apart from each other): their swap joins ``autos``.
+    """
+    at = cells.index(target)
+    fixed = [c.bit_length() - 1 for c in cells if not c & (c - 1)]
+    tried: list[int] = []
+    perms: list[list[int]] = []
+    done = seen = 0
+    for v in iter_bits(target):
+        if seen < len(autos):
+            perms += [p for p in autos[seen:] if all(p[x] == x for x in fixed)]
+            done, seen = _closure(done, perms, done), len(autos)
+        if done >> v & 1:
+            continue
+        twin = next((u for u in tried if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), None)
+        if twin is None:
+            tried.append(v)
+            done = _closure(done | 1 << v, perms, 1 << v)
+            yield cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1:]
+        else:
+            autos.append([v if x == twin else twin if x == v else x for x in range(len(adj))])
+
+
+def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The least relabeled adjacency rows over the leaves of a search, and
+    automorphisms that generate the graph's group.
 
     A node refines its cells and branches on each vertex of the first cell
-    with more than one vertex, singled out in front of the rest.  It skips a
-    vertex whose twin (same neighbours apart from each other) was tried:
-    swapping twins fixes every cell, so both subtrees reach the same graphs.
-    Other symmetry is not pruned and multiplies the leaves.
+    with more than one vertex, singled out in front of the rest, one per
+    orbit (``_children``).  Two leaves with equal rows give the automorphism
+    from the first one's labeling to the other's.
     """
     n = len(adj)
-    best = None
-    stack = [[(1 << n) - 1]]
-    while stack:
-        cells = _refine(adj, stack.pop())
+    leaves: dict[tuple[int, ...], list[int]] = {}
+    autos: list[list[int]] = []
+    nodes = [iter([[(1 << n) - 1]])]
+    while nodes:
+        cells = next(nodes[-1], None)
+        if cells is None:
+            nodes.pop()
+            continue
+        cells = _refine(adj, cells)
         target = next((c for c in cells if c & (c - 1)), 0)
         if target:
-            at = cells.index(target)
-            tried: list[int] = []
-            for v in iter_bits(target):
-                if all(adj[u] & ~(1 << v) != adj[v] & ~(1 << u) for u in tried):
-                    tried.append(v)
-                    stack.append(cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1:])
-        else:
-            label = [cell.bit_length() - 1 for cell in cells]
-            pos = {v: i for i, v in enumerate(label)}
-            rows = tuple(sum(1 << pos[u] for u in iter_bits(adj[v])) for v in label)
-            if best is None or rows < best:
-                best = rows
-    return best
+            nodes.append(_children(adj, cells, target, autos))
+            continue
+        label = [cell.bit_length() - 1 for cell in cells]
+        pos = {v: i for i, v in enumerate(label)}
+        rows = tuple(sum(1 << pos[u] for u in iter_bits(adj[v])) for v in label)
+        first = leaves.setdefault(rows, label)
+        if first is not label:
+            autos.append([v for _, v in sorted(zip(first, label))])
+    return min(leaves), autos
 
 
 def canonical_form(g: Graph) -> Graph:
     """Isomorphic copy relabeled into canonical position."""
-    return Graph(g.order, _canonical_rows(g.adj))
+    return Graph(g.order, _canonical_rows(g.adj)[0])
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -110,14 +152,19 @@ def canonical_graph6(g: Graph) -> str:
 
 @lru_cache(maxsize=None)
 def _graph_classes(n: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism, grown one vertex at a time."""
+    """All graphs on n vertices up to isomorphism, grown one vertex at a time:
+    a class of order n - 1 gains one neighbour set per orbit of its group."""
     if n == 1:
         return (Graph(1, (0,)),)
-    classes = {
-        _canonical_rows(add_vertex(g, s).adj)
-        for g in _graph_classes(n - 1)
-        for s in range(1 << (n - 1))
-    }
+    classes = set()
+    for g in _graph_classes(n - 1):
+        on_sets = [[sum(1 << p[v] for v in iter_bits(s)) for s in range(1 << g.order)]
+                   for p in _canonical_rows(g.adj)[1]]
+        seen = 0
+        for s in range(1 << g.order):
+            if not seen >> s & 1:
+                seen = _closure(seen | 1 << s, on_sets, 1 << s)
+                classes.add(_canonical_rows(add_vertex(g, s).adj)[0])
     return tuple(Graph(n, rows) for rows in sorted(classes))
 
 

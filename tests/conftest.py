@@ -36,6 +36,8 @@ def symmetric_graphs() -> dict[str, Graph]:
         "c12": build_graph(12, [(i, (i + 1) % 12) for i in range(12)]),
         "gk8": conjecture2_family(8),
         "k12": build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]),
+        # 8 legs of length 2 around vertex 0: no twins, and 8! leaves unpruned
+        "spider8": build_graph(17, [e for i in range(1, 9) for e in ((0, i), (i, i + 8))]),
     }
 
 

@@ -1,8 +1,9 @@
 """networkx's isomorphism test as an oracle for the canonical forms.
 
 hypothesis draws random graphs, a second graph of the same order and size,
-and relabelings; two canonical forms must be equal exactly when networkx
-finds the graphs isomorphic.  Skipped where either package is not installed.
+random trees, and relabelings; two canonical forms must be equal exactly
+when networkx finds the graphs isomorphic.  Skipped where either package is
+not installed.
 """
 
 import pytest
@@ -58,6 +59,19 @@ def circulant_unions(draw):
     return build_graph(order, edges)
 
 
+@st.composite
+def tree_pairs(draw):
+    """Two random trees of one order, each vertex hung from an earlier one,
+    and a permutation of their vertices.
+
+    Trees keep symmetry that twins do not explain: swapping two isomorphic
+    branches moves more than two vertices.
+    """
+    n = draw(st.integers(1, 16))
+    trees = [build_graph(n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]) for _ in "gh"]
+    return trees[0], trees[1], draw(st.permutations(range(n)))
+
+
 def _check_against_networkx(g, h, perm):
     form = canonical_graph6(g)
     assert canonical_graph6(_relabel(g, perm)) == form
@@ -75,6 +89,12 @@ def test_forms_equal_exactly_when_networkx_finds_isomorphism(case):
 @hypothesis.given(circulant_unions(), circulant_unions(), st.data())
 def test_regular_unions_match_networkx(g, h, data):
     _check_against_networkx(g, h, data.draw(st.permutations(range(g.order))))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(tree_pairs())
+def test_trees_match_networkx(case):
+    _check_against_networkx(*case)
 
 
 @pytest.mark.parametrize("name", sorted(symmetric_graphs()))

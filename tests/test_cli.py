@@ -390,6 +390,12 @@ class TestPlanarCutCommand:
         assert cli.run(["planar-cut", "--input", str(path), "--edge", "0,1"]) == 2
         assert capsys.readouterr().err == "error: vertex 2 listed twice\n"
 
+    def test_bad_header_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "header.rot"
+        path.write_text("2.5\n0: 1\n1: 0\n")
+        assert cli.run(["planar-cut", "--input", str(path), "--edge", "0,1"]) == 2
+        assert capsys.readouterr().err == "error: bad rotation header '2.5'\n"
+
 
 class TestLpCommand:
     def test_certificate_report_n20(self, capsys):

@@ -328,6 +328,11 @@ class TestRotationFiles:
         with pytest.raises(ValueError, match=f"^bad rotation line {re.escape(repr(line))}$"):
             parse_rotation_system(f"2\n{line}\n1: 0\n")
 
+    @pytest.mark.parametrize("header", ["x", "2.5", "3 4", "-2"])
+    def test_bad_header_named(self, header):
+        with pytest.raises(ValueError, match=f"^bad rotation header {re.escape(repr(header))}$"):
+            parse_rotation_system(f"{header}\n0: 1\n1: 0\n")
+
     def test_vertex_listed_twice(self):
         text = "4\n0: 1 2\n1: 2 0\n2: 0 1\n2: 1 0\n"
         with pytest.raises(ValueError, match="^vertex 2 listed twice$"):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -6,9 +7,10 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, symmetric_graphs
+from forestcut import verify
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
-from forestcut.graph import build_graph, is_connected, parse_graph6, write_graph6
+from forestcut.graph import add_vertex, build_graph, is_connected, parse_graph6, write_graph6
 from forestcut.lp import build_primal
 from forestcut.verify import (
     CLAIM_NAMES,
@@ -16,6 +18,8 @@ from forestcut.verify import (
     Claim,
     Density,
     _audit_rows,
+    _canonical_rows,
+    _graph_classes,
     audit_claim_inequalities,
     canonical_form,
     canonical_graph6,
@@ -30,6 +34,11 @@ from forestcut.verify import (
 # Burnside count plus an inverse Euler transform
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# graphs with loops on n vertices (OEIS A000666): the classes of a graph of
+# order n with a vertex subset, one per extension of the order-n classes
+GRAPHS_WITH_LOOPS = {1: 2, 2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}
+# sha256 of the graph6 lines of enumerate_graphs(1..7), 1,252 lines
+ENUMERATION_SHA256 = "c41e8be3cba93709fcce96b1fbec12ed0581526a17afa27ebebfa519c065564a"
 
 
 def burnside_graph_classes(n):
@@ -68,6 +77,24 @@ def connected_from_all(all_counts):
         divisor_sum = sum(d * c[d] for d in range(1, n) if n % d == 0)
         c[n] = (b[n] - divisor_sum) // n
     return c
+
+
+def generated_group(n, generators):
+    """Every product of the generators, as tuples."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for q in generators:
+            r = tuple(q[x] for x in p)
+            if r not in group:
+                group.add(r)
+                frontier.append(r)
+    return group
+
+
+def vertex_orbits(n, group):
+    return {frozenset(p[v] for p in group) for v in range(n)}
 
 
 class TestEnumeration:
@@ -121,6 +148,31 @@ class TestEnumeration:
     def test_order_cap(self):
         with pytest.raises(ValueError, match="built-in enumeration covers 1..7, got 8"):
             list(enumerate_graphs(8))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_extensions_per_parent_order_match_a000666(self, n, monkeypatch):
+        _graph_classes(n)  # the parents, searched before counting starts
+        extended = []
+        monkeypatch.setattr(verify, "add_vertex", lambda g, s: extended.append(s) or add_vertex(g, s))
+        assert len(_graph_classes.__wrapped__(n + 1)) == ALL_COUNTS[n + 1]
+        assert len(extended) == GRAPHS_WITH_LOOPS[n]
+
+    def test_search_generates_the_automorphism_group(self):
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                edges = {frozenset(e) for e in g.edges()}
+                brute = {p for p in permutations(range(n))
+                         if {frozenset((p[u], p[v])) for u, v in edges} == edges}
+                autos = _canonical_rows(g.adj)[1]
+                assert {tuple(p) for p in autos} <= brute
+                group = generated_group(n, autos)
+                assert vertex_orbits(n, group) == vertex_orbits(n, brute)
+                assert group == brute
+
+    def test_canonical_strings_pinned(self):
+        text = "\n".join(write_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n)) + "\n"
+        assert text.count("\n") == 1252
+        assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256
 
     def test_graph6_round_trip_over_whole_corpus(self):
         for n in range(1, 8):
