@@ -2,10 +2,10 @@
 
 Graphs up to 7 vertices are enumerated one representative per isomorphism
 class (canonical form: the least relabeled adjacency rows over the leaves of
-an individualisation-refinement search, pruned by the automorphisms its
-leaves and twins reveal).  Larger corpora arrive as graph6 files.  Each claim is one row of ``CLAIMS``; ``run_check`` scans a
-corpus with it and reports counterexamples in canonical graph6, so reports
-are identical no matter how many workers scanned the corpus.
+an individualisation-refinement search pruned by the automorphisms it finds).
+Larger corpora arrive as graph6 files.  Each claim is one row of ``CLAIMS``;
+``run_check`` scans a corpus with it and reports counterexamples in canonical
+graph6, so reports are identical no matter how many workers scanned it.
 """
 
 from __future__ import annotations

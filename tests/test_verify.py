@@ -153,7 +153,8 @@ class TestEnumeration:
     def test_extensions_per_parent_order_match_a000666(self, n, monkeypatch):
         _graph_classes(n)  # the parents, searched before counting starts
         extended = []
-        monkeypatch.setattr(verify, "add_vertex", lambda g, s: extended.append(s) or add_vertex(g, s))
+        monkeypatch.setattr(verify, "add_vertex",
+                            lambda g, s: extended.append(s) or add_vertex(g, s))
         assert len(_graph_classes.__wrapped__(n + 1)) == ALL_COUNTS[n + 1]
         assert len(extended) == GRAPHS_WITH_LOOPS[n]
 
