@@ -211,6 +211,22 @@ class TestCanonicalForm:
                     relabeled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
                     assert canonical_graph6(relabeled) == form
 
+    def test_rook_and_shrikhande_union_in_either_order(self):
+        # Both are strongly regular with parameters (16, 6, 2, 2), so
+        # refinement never tells them apart and the search branches in both.
+        # Automorphisms found below a vertex of one move the vertices singled
+        # out in the other; pruning there with them loses the least leaf.
+        rook = [(a, b) for a in range(16) for b in range(a + 1, 16)
+                if (a // 4 == b // 4) != (a % 4 == b % 4)]
+        steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+        shrikhande = [(a, b) for a in range(16) for b in range(a + 1, 16)
+                      if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4) in steps]
+
+        def union(first, second):
+            return build_graph(32, first + [(u + 16, v + 16) for u, v in second])
+
+        assert canonical_graph6(union(rook, shrikhande)) == canonical_graph6(union(shrikhande, rook))
+
     @pytest.mark.parametrize("name", sorted(symmetric_graphs()))
     def test_symmetric_graph_finishes_within_a_second(self, name):
         g = symmetric_graphs()[name]
