@@ -9,9 +9,12 @@ a feasible dual point, and their objectives are equal.
 Everything here is exact rational arithmetic: the certificate values have
 denominators like 70, and the whole point of this module is that no
 floating-point rounding can creep into a feasibility or optimality claim.
-Programs hold Fractions; points hold Fractions or ints.  check_feasible scales
-the point once to a common denominator and evaluates every row over
-integers; a row's lhs and slack are exact Fractions built when read.
+Programs hold Fractions or ints; points hold Fractions or ints.  Each LpRow
+is compiled to integers once, when it is built: a common denominator, the
+coefficients scaled by it, and the scaled rhs.  check_feasible scales the
+point once to a common denominator, so every row costs one integer
+multiply-add per term; a RowCheck's lhs and slack are exact Fractions built
+when read.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .graph import Graph
@@ -27,11 +31,41 @@ from .graph import Graph
 ZERO = Fraction(0)
 
 
-class LpRow(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class LpRow:
+    """One row ``sum(coeffs[v] * v) <relation> rhs`` and its integer form.
+
+    coeffs is stored as a read-only view, so the integer form, computed once
+    here, cannot go stale: den is the least common denominator of the
+    coefficients and the rhs, terms pairs each variable with its coefficient
+    times den, and rhs_num is the rhs times den.
+    """
+
     row_id: str
-    coeffs: dict[str, Fraction]
+    coeffs: Mapping[str, Fraction]
     relation: str  # "=", "<=", or ">="
     rhs: Fraction
+    den: int = field(init=False, compare=False, repr=False)
+    terms: tuple[tuple[str, int], ...] = field(init=False, compare=False, repr=False)
+    rhs_num: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        coeffs = MappingProxyType(dict(self.coeffs))
+        values = [self.rhs, *coeffs.values()]
+        bad = [c for c in values if not isinstance(c, (int, Fraction))]
+        if bad:
+            raise ValueError(
+                f"row {self.row_id!r} holds {bad[0]!r}; coefficients and rhs must be ints or Fractions"
+            )
+        den = lcm(*[c.denominator for c in values])
+        terms = tuple((v, c.numerator * (den // c.denominator)) for v, c in coeffs.items())
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "rhs_num", self.rhs.numerator * (den // self.rhs.denominator))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or copied
+        return LpRow, (self.row_id, dict(self.coeffs), self.relation, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -47,9 +81,9 @@ class LpInstance:
         declared = frozenset(self.variables)
         if not declared.issuperset(self.objective):
             raise ValueError("objective references undeclared variables")
-        for r in self.rows:
-            if not declared.issuperset(r.coeffs):
-                raise ValueError(f"row {r.row_id!r} references undeclared variables")
+        if not declared.issuperset(set().union(*[r.coeffs for r in self.rows])):
+            bad = next(r for r in self.rows if not declared.issuperset(r.coeffs))
+            raise ValueError(f"row {bad.row_id!r} references undeclared variables")
 
 
 def _primal_variables(n: int) -> tuple[list[str], list[str]]:
@@ -170,10 +204,10 @@ def build_dual(n: int) -> LpInstance:
         LpRow("n_5", {"x_1": one, "x_4": Fraction(5), "y_5": Fraction(4)}, "<=", Fraction(5, 2)),
         LpRow("n_6", {"x_1": one, "x_4": Fraction(6), "y_6": Fraction(6)}, "<=", Fraction(3)),
     ]
-    rows.extend(_dual_degree_row(j) for j in range(7, n))
+    rows.extend(map(_dual_degree_row, range(7, n)))
     rows.append(LpRow("n_4^5", {"x_2": neg, "y_5": Fraction(-3)}, "<=", ZERO))
     rows.append(LpRow("n_4^6", {"x_2": neg, "x_3": one}, "<=", ZERO))
-    rows.extend(_dual_split_row(j) for j in range(7, n))
+    rows.extend(map(_dual_split_row, range(7, n)))
     rows.append(
         LpRow("n_4^6'", {"y_5": neg, "y_6": neg, "x_3": neg}, "<=", ZERO)
     )
@@ -184,7 +218,7 @@ def build_dual(n: int) -> LpInstance:
         variables=variables,
         objective={"x_1": Fraction(n)},
         rows=tuple(rows),
-        nonnegative=frozenset({"x_4"} | {f"y_{j}" for j in range(5, n)}),
+        nonnegative=frozenset(variables[3:]),
     )
 
 
@@ -278,9 +312,11 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
     """Evaluate every row and sign bound exactly; no floating point.
 
     The point's values (Fractions or ints) are scaled once to one common
-    denominator, so each row and each sign bound is decided over integers.
-    No Fraction is built here: the 8..1000 certificate sweeps evaluate
-    about a million rows, and most callers read only ``feasible``.
+    denominator.  Each row carries its integer form from when it was built,
+    so a row costs one integer multiply-add per term, and each row and each
+    sign bound is decided over integers.  No Fraction is built here: the
+    8..1000 certificate sweeps evaluate about a million rows, and most
+    callers read only ``feasible``.
     """
     variables = instance.variables
     for v in variables:
@@ -299,23 +335,15 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
         ) from None
     checks = []
     for r in instance.rows:
-        rhs = r.rhs
-        rhs_num, rhs_den = rhs.as_integer_ratio()
-        den = rhs_den  # grows to a common denominator of the row's coefficients and rhs
+        # lhs and rhs are the row's two sides times r.den * scale
         lhs = 0
-        for v, c in r.coeffs.items():
-            c_num, c_den = c.as_integer_ratio()
-            if den % c_den:
-                grown = lcm(den, c_den)
-                lhs *= grown // den
-                den = grown
-            lhs += c_num * (den // c_den) * scaled[v]
-        # lhs and rhs_scaled are the row's two sides times den * scale
-        rhs_scaled = rhs_num * (den // rhs_den) * scale
+        for v, c in r.terms:
+            lhs += c * scaled[v]
+        rhs = r.rhs_num * scale
         relation = r.relation
-        slack = lhs - rhs_scaled if relation == ">=" else rhs_scaled - lhs
+        slack = lhs - rhs if relation == ">=" else rhs - lhs
         ok = slack == 0 if relation == "=" else slack >= 0
-        checks.append(RowCheck(r.row_id, relation, rhs, ok, lhs, slack, den * scale))
+        checks.append(RowCheck(r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale))
     bad_bounds = tuple(
         v for v in variables if v in instance.nonnegative and scaled[v] < 0
     )

@@ -86,10 +86,6 @@ def faces(system: RotationSystem) -> list[tuple[int, ...]]:
     return [_min_rotation([d[0] for d in f]) for f in system._faces]
 
 
-def is_plane_triangulation(system: RotationSystem) -> bool:
-    return all(len(f) == 3 for f in system._faces)
-
-
 @dataclass(frozen=True)
 class PlaneTriangulation:
     """A rotation system all of whose faces are triangles, plus an outer face."""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -176,6 +178,48 @@ class TestBuildDual:
             build_dual(7)
         assert exc.traceback[-1].name == "build_dual"
 
+    def test_rows_are_read_only(self):
+        row = next(r for r in build_dual(9).rows if r.row_id == "n_7")
+        with pytest.raises(TypeError):
+            row.coeffs["y_7"] = F(0)
+        with pytest.raises(TypeError):
+            del row.coeffs["x_1"]
+        with pytest.raises(AttributeError):
+            row.den = 1
+        coeffs = {"x": F(1, 2)}
+        copied = LpRow("r", coeffs, "<=", F(1))
+        coeffs["x"] = F(3)
+        assert copied.coeffs == {"x": F(1, 2)} and copied.terms == (("x", 1),)
+
+    def test_shared_rows_equal_fresh_ones(self):
+        dual = build_dual(1000)
+        fresh = {}
+        for j in range(7, 1000):
+            for make in (lp._dual_degree_row, lp._dual_split_row):
+                row = make.__wrapped__(j)
+                fresh[row.row_id] = row
+        shared = [r for r in dual.rows if r.row_id in fresh]
+        assert len(shared) == 2 * 993
+        for row in shared:
+            again = fresh[row.row_id]
+            assert row == again
+            assert (row.den, row.terms, row.rhs_num) == (again.den, again.terms, again.rhs_num)
+
+    def test_integer_form(self):
+        row = LpRow("r", {"a": F(1, 6), "b": 2, "c": F(-3, 4)}, ">=", F(5, 3))
+        assert row.den == 12
+        assert row.terms == (("a", 2), ("b", 24), ("c", -9))
+        assert row.rhs_num == 20
+        for again in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+            assert again == row and again.terms == row.terms and again.rhs_num == 20
+
+    @pytest.mark.parametrize(
+        "coeffs, rhs", [({"x": 0.1}, F(1)), ({"x": F(1)}, 0.5), ({"x": "1/2"}, F(0))]
+    )
+    def test_inexact_coefficient_rejected(self, coeffs, rhs):
+        with pytest.raises(ValueError, match="row 'r' holds .*; coefficients and rhs must be ints or Fractions"):
+            LpRow("r", coeffs, "<=", rhs)
+
 
 class TestCertificateDualPoint:
     def test_values(self):
@@ -338,13 +382,14 @@ class TestSolvePrimalExact:
     def test_undeclared_variable_rejected(self):
         from forestcut.lp import LpInstance, LpRow
 
-        with pytest.raises(ValueError):
+        valid = tuple(LpRow(f"ok{i}", {"x": F(i)}, "<=", F(0)) for i in range(3))
+        with pytest.raises(ValueError, match="row 'r' references undeclared variables"):
             LpInstance(
                 name="bad",
                 sense="min",
                 variables=("x",),
                 objective={"x": F(1)},
-                rows=(LpRow("r", {"ghost": F(1)}, "<=", F(0)),),
+                rows=valid + (LpRow("r", {"x": F(1), "ghost": F(1)}, "<=", F(0)),) + valid,
                 nonnegative=frozenset(("x",)),
             )
 

@@ -34,12 +34,12 @@ def programs_and_points(draw):
     rows = []
     for i in range(draw(st.integers(0, 8))):
         support = draw(st.lists(st.sampled_from(variables), unique=True))
-        coeffs = {v: draw(RATIONALS) for v in support}
+        coeffs = {v: draw(st.integers(-9, 9) | RATIONALS) for v in support}
         relation = draw(st.sampled_from(["=", "<=", ">="]))
         if draw(st.booleans()):
             rhs = sum((c * point[v] for v, c in coeffs.items()), Fraction(0))
         else:
-            rhs = draw(RATIONALS)
+            rhs = draw(st.integers(-9, 9) | RATIONALS)
         rows.append(LpRow(f"r{i}", coeffs, relation, rhs))
     nonnegative = frozenset(draw(st.lists(st.sampled_from(variables), unique=True)))
     instance = LpInstance("random", "min", variables, {}, tuple(rows), nonnegative)

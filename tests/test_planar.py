@@ -19,7 +19,6 @@ from forestcut.planar import (
     face_containing_edge,
     faces,
     icosahedron_triangulation,
-    is_plane_triangulation,
     k4_triangulation,
     octahedron_triangulation,
     parse_rotation_system,
@@ -30,6 +29,10 @@ from forestcut.planar import (
     triangle_triangulation,
     write_rotation_system,
 )
+
+
+def is_plane_triangulation(system):
+    return all(len(f) == 3 for f in faces(system))
 
 
 def c4_system():
