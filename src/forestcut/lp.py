@@ -29,6 +29,8 @@ from typing import Mapping, NamedTuple
 from .graph import Graph
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+NEG_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,18 +178,16 @@ def profile_point(g: Graph) -> dict[str, int]:
     return point
 
 
+# The cached rows live for the whole process, so they share their Fractions.
 @lru_cache(maxsize=None)
 def _dual_degree_row(j: int) -> LpRow:
-    one = Fraction(1)
-    return LpRow(
-        f"n_{j}", {"x_1": one, "x_4": Fraction(j), f"y_{j}": Fraction(j)}, "<=", Fraction(j, 2)
-    )
+    coeff = Fraction(j)
+    return LpRow(f"n_{j}", {"x_1": ONE, "x_4": coeff, f"y_{j}": coeff}, "<=", Fraction(j, 2))
 
 
 @lru_cache(maxsize=None)
 def _dual_split_row(j: int) -> LpRow:
-    neg = Fraction(-1)
-    return LpRow(f"n_4^{j}", {"x_2": neg, f"y_{j}": neg}, "<=", ZERO)
+    return LpRow(f"n_4^{j}", {"x_2": NEG_ONE, f"y_{j}": NEG_ONE}, "<=", ZERO)
 
 
 def build_dual(n: int) -> LpInstance:
@@ -197,21 +197,19 @@ def build_dual(n: int) -> LpInstance:
     variables = tuple(
         ["x_1", "x_2", "x_3", "x_4"] + [f"y_{j}" for j in range(5, n)]
     )
-    one = Fraction(1)
-    neg = Fraction(-1)
     rows = [
-        LpRow("n_4", {"x_1": one, "x_2": one, "x_4": Fraction(-2)}, "<=", Fraction(2)),
-        LpRow("n_5", {"x_1": one, "x_4": Fraction(5), "y_5": Fraction(4)}, "<=", Fraction(5, 2)),
-        LpRow("n_6", {"x_1": one, "x_4": Fraction(6), "y_6": Fraction(6)}, "<=", Fraction(3)),
+        LpRow("n_4", {"x_1": ONE, "x_2": ONE, "x_4": Fraction(-2)}, "<=", Fraction(2)),
+        LpRow("n_5", {"x_1": ONE, "x_4": Fraction(5), "y_5": Fraction(4)}, "<=", Fraction(5, 2)),
+        LpRow("n_6", {"x_1": ONE, "x_4": Fraction(6), "y_6": Fraction(6)}, "<=", Fraction(3)),
     ]
     rows.extend(map(_dual_degree_row, range(7, n)))
-    rows.append(LpRow("n_4^5", {"x_2": neg, "y_5": Fraction(-3)}, "<=", ZERO))
-    rows.append(LpRow("n_4^6", {"x_2": neg, "x_3": one}, "<=", ZERO))
+    rows.append(LpRow("n_4^5", {"x_2": NEG_ONE, "y_5": Fraction(-3)}, "<=", ZERO))
+    rows.append(LpRow("n_4^6", {"x_2": NEG_ONE, "x_3": ONE}, "<=", ZERO))
     rows.extend(map(_dual_split_row, range(7, n)))
     rows.append(
-        LpRow("n_4^6'", {"y_5": neg, "y_6": neg, "x_3": neg}, "<=", ZERO)
+        LpRow("n_4^6'", {"y_5": NEG_ONE, "y_6": NEG_ONE, "x_3": NEG_ONE}, "<=", ZERO)
     )
-    rows.append(LpRow("n_4^6''", {"y_6": Fraction(-2), "x_3": neg}, "<=", ZERO))
+    rows.append(LpRow("n_4^6''", {"y_6": Fraction(-2), "x_3": NEG_ONE}, "<=", ZERO))
     return LpInstance(
         name=f"profile-dual-{n}",
         sense="max",
