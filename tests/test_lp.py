@@ -205,6 +205,8 @@ class TestBuildDual:
             assert row == again
             assert (row.den, row.terms, row.rhs_num) == (again.den, again.terms, again.rhs_num)
 
+
+class TestLpRow:
     def test_integer_form(self):
         row = LpRow("r", {"a": F(1, 6), "b": 2, "c": F(-3, 4)}, ">=", F(5, 3))
         assert row.den == 12
@@ -214,7 +216,9 @@ class TestBuildDual:
             assert again == row and again.terms == row.terms and again.rhs_num == 20
 
     @pytest.mark.parametrize(
-        "coeffs, rhs", [({"x": 0.1}, F(1)), ({"x": F(1)}, 0.5), ({"x": "1/2"}, F(0))]
+        "coeffs, rhs",
+        [({"x": 0.1}, F(1)), ({"x": F(1)}, 0.5), ({"x": "1/2"}, F(0))],
+        ids=["float-coefficient", "float-rhs", "str-coefficient"],
     )
     def test_inexact_coefficient_rejected(self, coeffs, rhs):
         with pytest.raises(ValueError, match="row 'r' holds .*; coefficients and rhs must be ints or Fractions"):
