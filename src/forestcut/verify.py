@@ -11,6 +11,7 @@ graph6, so reports are identical no matter how many workers scanned it.
 from __future__ import annotations
 
 import math
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -21,7 +22,6 @@ from typing import Callable, Iterable, Iterator
 from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
 from .graph import (
     Graph,
-    add_vertex,
     degree_sum,
     induced_is_forest,
     is_connected,
@@ -107,12 +107,14 @@ def _children(adj: tuple[int, ...], cells: list[int], target: int, autos: list) 
 
 def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]]]:
     """The least relabeled adjacency rows over the leaves of a search, and
-    automorphisms that generate the graph's group.
+    automorphisms that generate the group of those rows.
 
     A node refines its cells and branches on each vertex of the first cell
     with more than one vertex, singled out in front of the rest, one per
     orbit (``_children``).  Two leaves with equal rows give the automorphism
-    from the first one's labeling to the other's.
+    from the first one's labeling to the other's.  The generators are
+    returned in canonical positions, relabeled through the least leaf's
+    labeling, so they act on the returned rows whatever labeling ``adj`` had.
     """
     n = len(adj)
     leaves: dict[tuple[int, ...], list[int]] = {}
@@ -134,7 +136,9 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[in
         first = leaves.setdefault(rows, label)
         if first is not label:
             autos.append([v for _, v in sorted(zip(first, label))])
-    return min(leaves), autos
+    rows = min(leaves)
+    pos = {v: i for i, v in enumerate(leaves[rows])}
+    return rows, [[pos[p[v]] for v in leaves[rows]] for p in autos]
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -151,21 +155,24 @@ def canonical_graph6(g: Graph) -> str:
 
 
 @lru_cache(maxsize=None)
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism, grown one vertex at a time:
-    a class of order n - 1 gains one neighbour set per orbit of its group."""
+def _graph_classes(n: int) -> tuple[tuple[Graph, list[list[int]]], ...]:
+    """All graphs on n vertices up to isomorphism, each with generators of its
+    group in canonical positions.  A class of order n - 1 gains one neighbour
+    set per orbit of its group; each class is searched once, by the first
+    child that reaches it, and keeps the generators that search found."""
     if n == 1:
-        return (Graph(1, (0,)),)
-    classes = set()
-    for g in _graph_classes(n - 1):
+        return ((Graph(1, (0,)), []),)
+    classes: dict[tuple[int, ...], list[list[int]]] = {}
+    for g, autos in _graph_classes(n - 1):
         on_sets = [[sum(1 << p[v] for v in iter_bits(s)) for s in range(1 << g.order)]
-                   for p in _canonical_rows(g.adj)[1]]
+                   for p in autos]
         seen = 0
         for s in range(1 << g.order):
             if not seen >> s & 1:
                 seen = _closure(seen | 1 << s, on_sets, 1 << s)
-                classes.add(_canonical_rows(add_vertex(g, s).adj)[0])
-    return tuple(Graph(n, rows) for rows in sorted(classes))
+                child = tuple(r | (s >> v & 1) << g.order for v, r in enumerate(g.adj)) + (s,)
+                classes.setdefault(*_canonical_rows(child))
+    return tuple((Graph(n, rows), classes[rows]) for rows in sorted(classes))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -174,7 +181,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(
             f"built-in enumeration covers 1..{ENUMERATION_ORDER_CAP}, got {n}"
         )
-    yield from _graph_classes(n)
+    yield from (g for g, _ in _graph_classes(n))
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
@@ -340,6 +347,7 @@ def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIM_NAMES}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)  # a pool forks all its processes at once
     scan = partial(_scan, claim)
     scanned = 0
     flagged = []

@@ -10,7 +10,7 @@ from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, symmetric_graph
 from forestcut import verify
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
-from forestcut.graph import add_vertex, build_graph, is_connected, parse_graph6, write_graph6
+from forestcut.graph import Graph, build_graph, is_connected, parse_graph6, write_graph6
 from forestcut.lp import build_primal
 from forestcut.verify import (
     CLAIM_NAMES,
@@ -151,24 +151,35 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_extensions_per_parent_order_match_a000666(self, n, monkeypatch):
-        _graph_classes(n)  # the parents, searched before counting starts
-        extended = []
-        monkeypatch.setattr(verify, "add_vertex",
-                            lambda g, s: extended.append(s) or add_vertex(g, s))
+        # one search per extension and one Graph per class: the parents'
+        # groups are read from _graph_classes(n), not searched again
+        _graph_classes(n)
+        searched, built = [], []
+        monkeypatch.setattr(verify, "_canonical_rows",
+                            lambda adj: searched.append(adj) or _canonical_rows(adj))
+        monkeypatch.setattr(verify, "Graph",
+                            lambda order, adj: built.append(adj) or Graph(order, adj))
         assert len(_graph_classes.__wrapped__(n + 1)) == ALL_COUNTS[n + 1]
-        assert len(extended) == GRAPHS_WITH_LOOPS[n]
+        assert len(searched) == GRAPHS_WITH_LOOPS[n]
+        assert len(built) == ALL_COUNTS[n + 1]
 
     def test_search_generates_the_automorphism_group(self):
+        # the generators act on the canonical rows, also for a shuffled input
+        rng = random.Random(12)
         for n in range(1, 7):
             for g in enumerate_graphs(n):
                 edges = {frozenset(e) for e in g.edges()}
                 brute = {p for p in permutations(range(n))
                          if {frozenset((p[u], p[v])) for u, v in edges} == edges}
-                autos = _canonical_rows(g.adj)[1]
-                assert {tuple(p) for p in autos} <= brute
-                group = generated_group(n, autos)
-                assert vertex_orbits(n, group) == vertex_orbits(n, brute)
-                assert group == brute
+                perm = rng.sample(range(n), n)
+                shuffled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                for h in (g, shuffled):
+                    rows, autos = _canonical_rows(h.adj)
+                    assert rows == g.adj
+                    assert {tuple(p) for p in autos} <= brute
+                    group = generated_group(n, autos)
+                    assert vertex_orbits(n, group) == vertex_orbits(n, brute)
+                    assert group == brute
 
     def test_canonical_strings_pinned(self):
         text = "\n".join(write_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n)) + "\n"
@@ -296,6 +307,35 @@ class TestCheckers:
         corpus = list(enumerate_connected_graphs(5))
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             run_check("chenyu", corpus, "n5", workers)
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool records its size and maps in-process: no real
+        # process starts, however many workers are asked for
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        corpus = list(enumerate_connected_graphs(5))
+        expected = run_check("conjecture1", corpus, "n5")
+        assert run_check("conjecture1", corpus, "n5", workers=1000) == expected
+        assert run_check("conjecture1", corpus, "n5", workers=2) == expected
+        assert started == [3, 2]
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert run_check("conjecture1", corpus, "n5", workers=1000) == expected
+        assert started == [3, 2]
 
     def test_deleting_a_prism_edge_restores_the_guarantee(self):
         # one edge below 2n-3 an independent cut must reappear
