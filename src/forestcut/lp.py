@@ -332,6 +332,9 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
             f"point value of {bad!r} must be an int or a Fraction, got {value!r}"
         ) from None
     checks = []
+    # tuple.__new__ builds the same RowCheck without the namedtuple's
+    # Python-level __new__, which is a call frame per row
+    new_check = tuple.__new__
     for r in instance.rows:
         # lhs and rhs are the row's two sides times r.den * scale
         lhs = 0
@@ -341,7 +344,7 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
         relation = r.relation
         slack = lhs - rhs if relation == ">=" else rhs - lhs
         ok = slack == 0 if relation == "=" else slack >= 0
-        checks.append(RowCheck(r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale))
+        checks.append(new_check(RowCheck, (r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale)))
     bad_bounds = tuple(
         v for v in variables if v in instance.nonnegative and scaled[v] < 0
     )

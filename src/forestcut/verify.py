@@ -1,8 +1,9 @@
 """Exhaustive small-graph enumeration and the empirical claim checkers.
 
-Graphs up to 7 vertices are enumerated one representative per isomorphism
-class (canonical form: the least relabeled adjacency rows over the leaves of
-an individualisation-refinement search pruned by the automorphisms it finds).
+Graphs up to 8 vertices are enumerated one representative per isomorphism
+class by canonical augmentation (canonical form: the least relabeled
+adjacency rows over the leaves of an individualisation-refinement search
+pruned by the automorphisms it finds).
 Larger corpora arrive as graph6 files.  Each claim is one row of ``CLAIMS``;
 ``run_check`` scans a corpus with it and reports counterexamples in canonical
 graph6, so reports are identical no matter how many workers scanned it.
@@ -32,7 +33,7 @@ from .graph import (
 )
 from .lp import build_primal, check_feasible, profile_point
 
-ENUMERATION_ORDER_CAP = 7
+ENUMERATION_ORDER_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +57,12 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
                 split.append(cell)
                 continue
             parts: dict[int, int] = {}
-            for v in iter_bits(cell):
-                k = (adj[v] & splitter).bit_count()
-                parts[k] = parts.get(k, 0) | 1 << v
-            split.extend(parts[k] for k in sorted(parts))
+            while cell:
+                low = cell & -cell
+                k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                parts[k] = parts.get(k, 0) | low
+                cell ^= low
+            split += [parts[k] for k in sorted(parts)]
         cells = split
     return cells
 
@@ -105,9 +108,10 @@ def _children(adj: tuple[int, ...], cells: list[int], target: int, autos: list) 
             autos.append([v if x == twin else twin if x == v else x for x in range(len(adj))])
 
 
-def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The least relabeled adjacency rows over the leaves of a search, and
-    automorphisms that generate the group of those rows.
+def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]], dict[int, int]]:
+    """The least relabeled adjacency rows over the leaves of a search,
+    automorphisms that generate the group of those rows, and the position in
+    those rows of each vertex of ``adj``.
 
     A node refines its cells and branches on each vertex of the first cell
     with more than one vertex, singled out in front of the rest, one per
@@ -138,7 +142,7 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[in
             autos.append([v for _, v in sorted(zip(first, label))])
     rows = min(leaves)
     pos = {v: i for i, v in enumerate(leaves[rows])}
-    return rows, [[pos[p[v]] for v in leaves[rows]] for p in autos]
+    return rows, [[pos[p[v]] for v in leaves[rows]] for p in autos], pos
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -157,22 +161,53 @@ def canonical_graph6(g: Graph) -> str:
 @lru_cache(maxsize=None)
 def _graph_classes(n: int) -> tuple[tuple[Graph, list[list[int]]], ...]:
     """All graphs on n vertices up to isomorphism, each with generators of its
-    group in canonical positions.  A class of order n - 1 gains one neighbour
-    set per orbit of its group; each class is searched once, by the first
-    child that reaches it, and keeps the generators that search found."""
+    group in canonical positions, by canonical augmentation (McKay 1998).
+
+    Each class P of order n - 1 gains a vertex v joined to a set S, one S per
+    orbit of Aut(P) on vertex sets.  The child G = P + v is kept only when v
+    lies in the Aut(G)-orbit of m(G), G's first canonical vertex of maximum
+    degree.  That orbit is an isomorphism invariant, so each class of order
+    n is kept exactly once:
+
+    - At least once.  An isomorphism from G - m(G) onto a class P carries
+      N(m(G)) into the orbit of an extended S, so P + v is isomorphic to G
+      with v taken to m(G), and is kept.
+    - At most once.  An isomorphism between kept children P + v and P' + v'
+      can be chosen to take v to v', as both lie in the invariant orbit.  It
+      then maps P onto P', so P = P', and S to S' by an automorphism of P,
+      so S and S' are one orbit, extended once.
+
+    The orbit of m(G) holds only vertices of maximum degree.  So a child with
+    a vertex of degree above |S| = deg(v) is rejected without a search.
+    """
     if n == 1:
         return ((Graph(1, (0,)), []),)
-    classes: dict[tuple[int, ...], list[list[int]]] = {}
+    classes = []
     for g, autos in _graph_classes(n - 1):
-        on_sets = [[sum(1 << p[v] for v in iter_bits(s)) for s in range(1 << g.order)]
-                   for p in autos]
+        # the parent's vertices of degree at least j, for j = 0..n
+        at_least = [sum(1 << u for u, r in enumerate(g.adj) if r.bit_count() >= j)
+                    for j in range(n + 1)]
+        on_sets = []  # each generator's image of every set, built bit by bit
+        for p in autos:
+            image = [0]
+            for x in p:
+                image += [y | 1 << x for y in image]
+            on_sets.append(image)
         seen = 0
         for s in range(1 << g.order):
-            if not seen >> s & 1:
-                seen = _closure(seen | 1 << s, on_sets, 1 << s)
-                child = tuple(r | (s >> v & 1) << g.order for v, r in enumerate(g.adj)) + (s,)
-                classes.setdefault(*_canonical_rows(child))
-    return tuple((Graph(n, rows), classes[rows]) for rows in sorted(classes))
+            # reject when some vertex of G has degree above k = deg(v); the
+            # answer is the same on all of S's orbit, so a rejected orbit
+            # need not be marked in ``seen``
+            k = s.bit_count()
+            if at_least[k + 1] or s & at_least[k] or seen >> s & 1:
+                continue
+            seen = _closure(seen | 1 << s, on_sets, 1 << s)
+            child = tuple(r | (s >> v & 1) << g.order for v, r in enumerate(g.adj)) + (s,)
+            rows, gens, pos = _canonical_rows(child)
+            m = next(i for i, r in enumerate(rows) if r.bit_count() == k)
+            if _closure(1 << m, gens, 1 << m) >> pos[g.order] & 1:
+                classes.append((rows, gens))
+    return tuple((Graph(n, rows), gens) for rows, gens in sorted(classes))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

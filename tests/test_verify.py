@@ -10,7 +10,14 @@ from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, symmetric_graph
 from forestcut import verify
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
-from forestcut.graph import Graph, build_graph, is_connected, parse_graph6, write_graph6
+from forestcut.graph import (
+    Graph,
+    build_graph,
+    is_connected,
+    iter_bits,
+    parse_graph6,
+    write_graph6,
+)
 from forestcut.lp import build_primal
 from forestcut.verify import (
     CLAIM_NAMES,
@@ -37,8 +44,19 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # graphs with loops on n vertices (OEIS A000666): the classes of a graph of
 # order n with a vertex subset, one per extension of the order-n classes
 GRAPHS_WITH_LOOPS = {1: 2, 2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}
+# the extensions among those whose new vertex has maximum degree, the only
+# ones canonical augmentation searches
+MAX_DEGREE_EXTENSIONS = {1: 2, 2: 4, 3: 11, 4: 37, 5: 184, 6: 1401}
 # sha256 of the graph6 lines of enumerate_graphs(1..7), 1,252 lines
 ENUMERATION_SHA256 = "c41e8be3cba93709fcce96b1fbec12ed0581526a17afa27ebebfa519c065564a"
+# order 8: A000088 classes, A001349 connected ones, the sha256 of the graph6
+# lines and the classes per edge count (OEIS A008406, symmetric in m)
+ORDER8_CLASSES, ORDER8_CONNECTED = 12346, 11117
+ORDER8_SHA256 = "4c6706f1cfd8c384a45f7b0a71092ff197d8eb9aa4b086b42b1cd45ad1f4f039"
+_ORDER8_HALF = [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557]
+ORDER8_BY_SIZE = _ORDER8_HALF + [1646] + _ORDER8_HALF[::-1]
+# the order-8 graphs conjecture2 flags, in canonical graph6
+ORDER8_CONJECTURE2_CANONICAL = ("GJ]KlK", "GJ]KnK", "GJem^_", "GKYZtk")
 
 
 def burnside_graph_classes(n):
@@ -97,6 +115,14 @@ def vertex_orbits(n, group):
     return {frozenset(p[v] for p in group) for v in range(n)}
 
 
+def set_orbits(g):
+    """The orbits of g's brute-force group on vertex sets, by least member."""
+    n = g.order
+    group = [p for p in permutations(range(n))
+             if all(sum(1 << p[u] for u in iter_bits(g.adj[v])) == g.adj[p[v]] for v in range(n))]
+    return {min(sum(1 << p[v] for v in iter_bits(s)) for p in group) for s in range(1 << n)}
+
+
 class TestEnumeration:
     def test_tiny_counts(self):
         assert len(list(enumerate_connected_graphs(3))) == 2
@@ -146,22 +172,42 @@ class TestEnumeration:
         assert len(set(keys)) == len(keys)
 
     def test_order_cap(self):
-        with pytest.raises(ValueError, match="built-in enumeration covers 1..7, got 8"):
-            list(enumerate_graphs(8))
+        with pytest.raises(ValueError, match="built-in enumeration covers 1..8, got 9"):
+            list(enumerate_graphs(9))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_extensions_per_parent_order_match_a000666(self, n, monkeypatch):
-        # one search per extension and one Graph per class: the parents'
-        # groups are read from _graph_classes(n), not searched again
-        _graph_classes(n)
+        # one extension per orbit of a parent's group on vertex sets (A000666),
+        # one search per extension whose new vertex has maximum degree, and
+        # one Graph per class; the parents' groups are not searched again
+        extensions = [(g, s) for g, _ in _graph_classes(n) for s in set_orbits(g)]
+        assert len(extensions) == GRAPHS_WITH_LOOPS[n]
+        topped = sum(all(g.degree(u) + (s >> u & 1) <= s.bit_count() for u in range(n))
+                     for g, s in extensions)
+        assert topped == MAX_DEGREE_EXTENSIONS[n]
         searched, built = [], []
         monkeypatch.setattr(verify, "_canonical_rows",
                             lambda adj: searched.append(adj) or _canonical_rows(adj))
         monkeypatch.setattr(verify, "Graph",
                             lambda order, adj: built.append(adj) or Graph(order, adj))
         assert len(_graph_classes.__wrapped__(n + 1)) == ALL_COUNTS[n + 1]
-        assert len(searched) == GRAPHS_WITH_LOOPS[n]
+        assert len(searched) == topped
         assert len(built) == ALL_COUNTS[n + 1]
+
+    def test_order8_within_budget(self):
+        _graph_classes.cache_clear()
+        start = time.perf_counter()
+        graphs = list(enumerate_graphs(8))
+        elapsed = time.perf_counter() - start
+        assert len(graphs) == ORDER8_CLASSES
+        assert sum(map(is_connected, graphs)) == ORDER8_CONNECTED
+        text = "".join(write_graph6(g) + "\n" for g in graphs)
+        assert hashlib.sha256(text.encode()).hexdigest() == ORDER8_SHA256
+        by_size = [0] * 29
+        for g in graphs:
+            by_size[g.size] += 1
+        assert by_size == ORDER8_BY_SIZE
+        assert elapsed <= 4.0, f"orders 1..8 took {elapsed:.2f} s of a 4 s budget"
 
     def test_search_generates_the_automorphism_group(self):
         # the generators act on the canonical rows, also for a shuffled input
@@ -174,8 +220,10 @@ class TestEnumeration:
                 perm = rng.sample(range(n), n)
                 shuffled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
                 for h in (g, shuffled):
-                    rows, autos = _canonical_rows(h.adj)
+                    rows, autos, pos = _canonical_rows(h.adj)
                     assert rows == g.adj
+                    assert all(rows[pos[v]] == sum(1 << pos[u] for u in iter_bits(h.adj[v]))
+                               for v in range(n))
                     assert {tuple(p) for p in autos} <= brute
                     group = generated_group(n, autos)
                     assert vertex_orbits(n, group) == vertex_orbits(n, brute)
@@ -381,6 +429,13 @@ class TestCheckers:
         assert report.scanned == 4
         flagged = sorted(canonical_graph6(g) for g in graphs) if claim == "conjecture2" else []
         assert list(report.counterexamples) == flagged
+
+    def test_order8_sweep_flags_only_the_pinned_graphs(self):
+        report = run_check("conjecture2", enumerate_connected_graphs(8), "order8")
+        assert report.scanned == ORDER8_CONNECTED
+        assert report.counterexamples == ORDER8_CONJECTURE2_CANONICAL
+        pinned = sorted(canonical_graph6(parse_graph6(s)) for s in ORDER8_CONJECTURE2_FLAGS)
+        assert list(report.counterexamples) == pinned
 
 
 # the claims' densities as the Fraction formulas they are stated with
