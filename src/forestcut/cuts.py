@@ -8,8 +8,11 @@ independent), so an inclusion-minimal cut witnesses existence whenever any
 witness exists.
 
 Every finder asks for a connected graph of order at least 3, because the
-empty set already separates a disconnected graph.  A complete graph has no
-vertex cut, so the finders return None for it.
+empty set already separates a disconnected graph.  Each public query checks
+that once, on entry (``_require_connected``), and then trusts it: the walk
+``_minimal_separators`` checks nothing.  On K_n the walk yields nothing, as
+every seed comes from a component of G - N[v] = empty, so the finders
+return None for K_n without a test of their own.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def find_forest_cut_exhaustive(g: Graph) -> Optional[CutWitness]:
     return None
 
 
-def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
-    """Stream every inclusion-minimal vertex cut exactly once.
+def _minimal_separators(g: Graph) -> Iterator[int]:
+    """Stream every inclusion-minimal vertex cut of a connected graph exactly once.
 
     Candidate separators are grown by close-neighborhood expansion: the
     neighborhoods of the components of G - N[v] seed the search, and for a
@@ -105,10 +108,6 @@ def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
     emitted are the ones whose removal leaves only components seeing all of
     S, which is exactly inclusion-minimality as a cut.
     """
-    if not is_connected(g):
-        raise ValueError("separator enumeration requires a connected graph")
-    if is_complete(g):
-        raise ValueError("complete graphs have no separator")
     adj = g.adj
     full = g.vertex_mask
 
@@ -144,6 +143,15 @@ def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
                     queue.append(t)
 
 
+def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
+    """Every inclusion-minimal vertex cut of a connected, non-complete graph,
+    once each, in the order ``_minimal_separators`` walks them."""
+    _require_connected(g, minimum_order=1)
+    if is_complete(g):
+        raise ValueError("complete graphs have no separator")
+    yield from _minimal_separators(g)
+
+
 def universal_vertex_reduction(g: Graph) -> Optional[tuple[int, Graph]]:
     """Split off the lowest universal vertex u, returning (u, G - u).
 
@@ -163,9 +171,7 @@ def universal_vertex_reduction(g: Graph) -> Optional[tuple[int, Graph]]:
 
 def _first_cut(g: Graph, accept: Callable[[int], bool], kind: str) -> Optional[CutWitness]:
     """The first minimal separator the walk meets that ``accept`` takes, as a witness."""
-    if is_complete(g):
-        return None
-    for s in enumerate_minimal_separators(g):
+    for s in _minimal_separators(g):
         if accept(s):
             return _make_witness(g, s, kind)
     return None
@@ -203,6 +209,6 @@ def all_minimal_forest_cuts(g: Graph) -> list[int]:
     _require_connected(g, minimum_order=2)
     if is_complete(g):
         raise ValueError("complete graphs have no vertex cut")
-    cuts = [s for s in enumerate_minimal_separators(g) if induced_is_forest(g, s)]
+    cuts = [s for s in _minimal_separators(g) if induced_is_forest(g, s)]
     cuts.sort(key=lambda s: (s.bit_count(), s))
     return cuts

@@ -142,7 +142,7 @@ def parse_graph6(text: str) -> Graph:
     head = ord(line[0])
     if head == 126:
         raise ValueError("long-form graph6 (order > 62) not supported")
-    if head < 63:
+    if not 63 <= head < 126:
         raise ValueError(f"bad order byte {head}")
     n = head - 63
     if n < 1:
@@ -276,16 +276,17 @@ def is_vertex_cut(g: Graph, s: int) -> bool:
 
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
-    """Brute-force k-connectivity test, meant for small k (at most ~5)."""
+    """Brute-force k-connectivity test, meant for small k (at most ~5).
+
+    True when no set of fewer than k vertices, the empty set included, is a
+    vertex cut.  So a disconnected graph is not k-connected for any k, and
+    K_n is (n-1)-connected: removing at most n - 2 vertices leaves a clique.
+    """
     n = g.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} outside 1..{n - 1}")
-    if not is_connected(g):
-        raise ValueError("connectivity test requires a connected graph")
-    if is_complete(g):
-        return True
     full = g.vertex_mask
-    for size in range(1, k):
+    for size in range(k):
         for s in masks_of_size(n, size):
             if len(components(g, full & ~s)) >= 2:
                 return False
@@ -339,13 +340,3 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
     return Graph(g.order, adj)
-
-
-def add_vertex(g: Graph, neighbors_mask: int) -> Graph:
-    """New graph with one extra vertex adjacent to ``neighbors_mask``."""
-    n = g.order
-    adj = list(g.adj)
-    for v in iter_bits(neighbors_mask):
-        adj[v] |= 1 << n
-    adj.append(neighbors_mask)
-    return Graph(n + 1, adj)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, add_vertex, build_graph, components, vertex_set
+from .graph import Graph, components, vertex_set
 
 Dart = tuple[int, int]
 FaceDarts = tuple[Dart, ...]
@@ -39,6 +39,12 @@ class RotationSystem:
     def _faces(self) -> tuple[FaceDarts, ...]:
         """The faces as dart cycles in trace order, traced on first use and kept."""
         return tuple(_face_darts(self))
+
+
+def _rotation_system(rot: Sequence[Sequence[int]]) -> RotationSystem:
+    """The rotation system whose graph joins each vertex to its rotation."""
+    rot = tuple(tuple(row) for row in rot)
+    return RotationSystem(Graph(len(rot), [vertex_set(row) for row in rot]), rot)
 
 
 def _face_darts(system: RotationSystem) -> list[FaceDarts]:
@@ -137,38 +143,31 @@ def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangula
     target = _match_face(system._faces, tuple(face))
     if target is None:
         raise ValueError(f"{tuple(face)} is not a face of the embedding")
-    g = system.graph
-    w = g.order
+    w = system.graph.order
     corners = [d[0] for d in target]
     new_rot = [list(r) for r in system.rot]
     for u, v in target:
         at = new_rot[v].index(u)
         new_rot[v].insert(at + 1, w)
     new_rot.append(list(reversed(corners)))
-    new_graph = add_vertex(g, vertex_set(corners))
     outer = tri.outer_face
     if set(corners) == set(outer):
         outer = (target[0][0], target[0][1], w)
-    return PlaneTriangulation(
-        RotationSystem(new_graph, tuple(tuple(r) for r in new_rot)), outer
-    )
+    return PlaneTriangulation(_rotation_system(new_rot), outer)
 
 
 def k4_triangulation() -> PlaneTriangulation:
-    g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     rot = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1))
-    return PlaneTriangulation(RotationSystem(g, rot), (0, 1, 2))
+    return PlaneTriangulation(_rotation_system(rot), (0, 1, 2))
 
 
 def triangle_triangulation() -> PlaneTriangulation:
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    return PlaneTriangulation(RotationSystem(g, ((1, 2), (2, 0), (0, 1))), (0, 1, 2))
+    return PlaneTriangulation(_rotation_system(((1, 2), (2, 0), (0, 1))), (0, 1, 2))
 
 
 def octahedron_triangulation() -> PlaneTriangulation:
-    g = build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3])
     rot = ((1, 2, 4, 5), (0, 5, 3, 2), (0, 1, 3, 4), (1, 5, 4, 2), (0, 2, 3, 5), (0, 4, 3, 1))
-    return PlaneTriangulation(RotationSystem(g, rot), (0, 1, 5))
+    return PlaneTriangulation(_rotation_system(rot), (0, 1, 5))
 
 
 _ICOSAHEDRON_ROT = (
@@ -188,9 +187,7 @@ _ICOSAHEDRON_ROT = (
 
 
 def icosahedron_triangulation() -> PlaneTriangulation:
-    edges = [(v, u) for v, row in enumerate(_ICOSAHEDRON_ROT) for u in row if v < u]
-    g = build_graph(12, edges)
-    return PlaneTriangulation(RotationSystem(g, _ICOSAHEDRON_ROT), (0, 2, 9))
+    return PlaneTriangulation(_rotation_system(_ICOSAHEDRON_ROT), (0, 2, 9))
 
 
 def random_stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
@@ -318,7 +315,6 @@ def parse_rotation_system(text: str) -> RotationSystem:
     if len(rows) - 1 != n:
         raise ValueError(f"expected {n} rotation lines, found {len(rows) - 1}")
     rot: list[Optional[tuple[int, ...]]] = [None] * n
-    adj = [0] * n
     for ln in rows[1:]:
         head, _, tail = ln.partition(":")
         try:
@@ -331,5 +327,4 @@ def parse_rotation_system(text: str) -> RotationSystem:
         if rot[v] is not None:
             raise ValueError(f"vertex {v} listed twice")
         rot[v] = row
-        adj[v] = vertex_set(row)
-    return RotationSystem(Graph(n, adj), tuple(rot))
+    return _rotation_system(rot)

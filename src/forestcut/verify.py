@@ -239,7 +239,9 @@ class Graph6Corpus:
 
     def __iter__(self) -> Iterator[Graph]:
         self.malformed = []
-        with open(self.path) as fh:
+        # graph6 is ASCII; latin-1 reads each byte as one character, so a
+        # stray byte fails parse_graph6 on its own line instead of the decode
+        with open(self.path, encoding="latin-1") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -306,7 +308,7 @@ def sparse_k_connected(g: Graph, density: Density | None, k: int) -> bool:
         raise ValueError(f"connectivity must be at least 0, got {k}")
     if density is not None and not density.admits(g.order, g.size):
         return False
-    return not k or (g.order > k and is_connected(g) and vertex_connectivity_at_least(g, k))
+    return not k or (g.order > k and vertex_connectivity_at_least(g, k))
 
 
 @dataclass(frozen=True)

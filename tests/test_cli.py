@@ -73,6 +73,21 @@ degree5_not_all_degree4 holds
 """
 
 
+# `gen --family fixture --name NAME` stdout: the labelled graph6, not its canonical form
+FIXTURE_GRAPH6 = {
+    "fig1_a": "ElUg",
+    "fig1_b": "Eldg",
+    "fig1_c": "Fl_zO",
+    "fig1_d": "Fhdcw",
+    "icosahedron": "KQouPikgqxIY",
+    "k33": "EFz_",
+    "k4": "C~",
+    "octahedron": "EznW",
+    "prism": "E{Sw",
+    "wheel5": "Dl{",
+}
+
+
 def run_lines(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
@@ -228,6 +243,13 @@ class TestVerifyCommand:
         assert lines == [f"{claim} {path} 9 {len(flagged)}"] + flagged
         assert code == (1 if flagged else 0)
 
+    def test_undecodable_byte_is_a_malformed_line(self, capsys, tmp_path):
+        path = tmp_path / "c.g6"
+        path.write_bytes(b"Bw\n\xffw\nBw\n")
+        code, lines = run_lines(capsys, ["verify", "--claim", "theorem2", "--input", str(path)])
+        assert code == 0
+        assert lines == [f"theorem2 {path}[malformed-lines=1] 2 0"]
+
     def test_exit_code_on_counterexample(self, capsys, monkeypatch, tmp_path):
         from forestcut import verify as verify_module
 
@@ -250,6 +272,12 @@ class TestGenCommand:
         g = parse_graph6(lines[0])
         assert g.order == 7 and g.size == 14
         assert lines[0] == write_graph6(conjecture2_family(1))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPH6))
+    def test_fixture_graph6_is_pinned(self, capsys, name):
+        code, lines = run_lines(capsys, ["gen", "--family", "fixture", "--name", name])
+        assert code == 0
+        assert lines == [FIXTURE_GRAPH6[name]]
 
     def test_fixture_edges_format(self, capsys):
         code, lines = run_lines(

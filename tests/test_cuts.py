@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -32,6 +34,23 @@ from forestcut.graph import (
     vertex_set,
 )
 from forestcut.verify import enumerate_connected_graphs
+
+
+def primitive_calls(run):
+    """How often ``run()`` enters is_connected and is_complete, by function."""
+    watched = {is_connected.__code__: "is_connected", is_complete.__code__: "is_complete"}
+    calls = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def c4():
@@ -170,6 +189,14 @@ class TestFindForestCut:
         g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
         w = find_forest_cut(g)
         assert w is not None and w.cut == 1 << 3
+
+    @pytest.mark.parametrize("finder", [
+        find_forest_cut, find_independent_cut, lambda g: find_independent_cut_avoiding(g, 0),
+    ])
+    def test_precondition_checked_once(self, finder):
+        # connected and not complete: one connectivity test, no completeness test
+        calls = primitive_calls(lambda: finder(fixture("prism")))
+        assert calls == {"is_connected": 1}
 
     def test_runs_beyond_the_exhaustive_cap(self):
         g = k3_band_cycle(30, 5)

@@ -89,6 +89,15 @@ class TestGraph6:
         with pytest.raises(ValueError, match="long-form graph6"):
             parse_graph6("~??")
 
+    def test_order_byte_above_126_rejected(self):
+        # 127 would read as order 64, which write_graph6 refuses
+        with pytest.raises(ValueError, match="bad order byte 127"):
+            parse_graph6(chr(127) + "?" * 336)
+
+    def test_non_ascii_order_byte_rejected(self):
+        with pytest.raises(ValueError, match="bad order byte 233"):
+            parse_graph6("\u00e9w")
+
     def test_round_trip_random(self, random_connected_graph):
         for seed in range(25):
             g = random_connected_graph(4 + seed % 9, seed)
@@ -173,6 +182,11 @@ class TestVertexConnectivity:
 
     def test_complete_graphs(self):
         assert vertex_connectivity_at_least(k4(), 3)
+
+    def test_disconnected_graph_is_not_k_connected(self):
+        two_k4 = build_graph(8, [(u + o, v + o) for o in (0, 4) for u, v in combinations(range(4), 2)])
+        for g in (two_k4, build_graph(3, [(0, 1)])):
+            assert not any(vertex_connectivity_at_least(g, k) for k in range(1, g.order))
 
     def test_monotone_in_k(self, random_connected_graph):
         for seed in range(8):

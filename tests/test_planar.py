@@ -11,6 +11,7 @@ from forestcut.graph import (
     induced_is_forest,
     is_vertex_cut,
     vertex_set,
+    write_graph6,
 )
 from forestcut.planar import (
     PlaneTriangulation,
@@ -108,6 +109,11 @@ class TestFaces:
         fs = faces(c4_system())
         assert len(fs) == 2
         assert all(len(f) == 4 for f in fs)
+
+    def test_named_graphs_are_pinned(self):
+        # labelled graph6, so a relabeling of a named triangulation shows
+        assert write_graph6(triangle_triangulation().graph) == "Bw"
+        assert write_graph6(k4_triangulation().graph) == "C~"
 
     def test_transposed_rotation_breaks_euler(self):
         g = k4_triangulation().graph

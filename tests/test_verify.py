@@ -307,6 +307,13 @@ class TestIngest:
         assert corpus.malformed[0][0] == 3
         assert "malformed-lines=1" in corpus.describe()
 
+    def test_undecodable_byte_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"Bw\n\xffw\nBw\n")
+        corpus = ingest_graph6(str(path))
+        assert len(list(corpus)) == 2
+        assert corpus.malformed == [(2, "bad order byte 255")]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.g6"
         path.write_text("")
