@@ -14,6 +14,7 @@ import sys
 from . import constructions, cuts, lp, planar, verify
 from .graph import (
     Graph,
+    _text_lines,
     iter_bits,
     parse_edge_list,
     parse_graph6,
@@ -22,16 +23,25 @@ from .graph import (
 )
 
 def _read_text(path: str) -> str:
+    """The whole input, read as latin-1.
+
+    graph6, edge lists and rotation files are ASCII; latin-1 reads each byte
+    as one character, so a stray byte reaches the parser, whose message
+    names the bad input, instead of failing the decode.
+    """
     if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:  # a text stream put in place of stdin is already decoded
+            return sys.stdin.read()
+        return buffer.read().decode("latin-1")
+    with open(path, encoding="latin-1") as fh:
         return fh.read()
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
     if fmt == "graph6":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = _text_lines(text)
         if len(lines) != 1:
             raise ValueError(f"expected one graph6 line, got {len(lines)}")
         return parse_graph6(lines[0])

@@ -13,6 +13,9 @@ that once, on entry (``_require_connected``), and then trusts it: the walk
 ``_minimal_separators`` checks nothing.  On K_n the walk yields nothing, as
 every seed comes from a component of G - N[v] = empty, so the finders
 return None for K_n without a test of their own.
+
+The walk tests each seed as it finds it, so a finder that stops at its
+first hit never computes the seeds after it.
 """
 
 from __future__ import annotations
@@ -107,6 +110,16 @@ def _minimal_separators(g: Graph) -> Iterator[int]:
     new ones.  That walk reaches every minimal a-b separator; the sets
     emitted are the ones whose removal leaves only components seeing all of
     S, which is exactly inclusion-minimality as a cut.
+
+    Each seed is tested as soon as it is found, so an early-exit caller
+    stops before the remaining seeds are computed.  The stream is the one a
+    walk that queues every seed first and tests each set as it leaves the
+    FIFO would give: every child is queued after the last seed in both, so
+    the queue order is the same; the first ``len(seeds)`` pops are the
+    seeds, which are not tested again; each expansion runs against the same
+    ``seen`` set (every seed plus the children queued before it); and the
+    test is a pure function of the set, so the same sets pass in the same
+    order.
     """
     adj = g.adj
     full = g.vertex_mask
@@ -132,9 +145,14 @@ def _minimal_separators(g: Graph) -> Iterator[int]:
             if s not in seen:
                 seen.add(s)
                 queue.append(s)
+                if is_minimal_cut(s):
+                    yield s
+    tested = len(queue)
     while queue:
         s = queue.popleft()
-        if is_minimal_cut(s):
+        if tested:
+            tested -= 1
+        elif is_minimal_cut(s):
             yield s
         for x in iter_bits(s):
             for t in close_separators(s | adj[x]):

@@ -7,6 +7,7 @@ for the orders this package targets (at most 128 vertices).
 
 from __future__ import annotations
 
+import string
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 128
@@ -51,6 +52,16 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", adj)
+
+    @classmethod
+    def _trusted(cls, order: int, adj: Sequence[int]) -> Graph:
+        """A graph from rows its caller built symmetric and loop-free, over
+        vertices below ``order``, with 1 <= order <= MAX_ORDER.  Nothing is
+        checked, so only package code that builds the rows itself calls this."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "adj", tuple(adj))
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -106,7 +117,7 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) outside order {order}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(order, adj)
+    return Graph._trusted(order, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +146,12 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 line."""
-    line = text.strip()
+    """Decode one short-form graph6 line.
+
+    graph6 is ASCII, so only ASCII whitespace around the line is ignored; a
+    non-ASCII space stays in the line and fails it.
+    """
+    line = text.strip(string.whitespace)
     if not line:
         raise ValueError("empty graph6 line")
     head = ord(line[0])
@@ -167,7 +182,7 @@ def parse_graph6(text: str) -> Graph:
             if val >> nbits & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Graph(n, adj)
+    return Graph._trusted(n, adj)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -177,12 +192,30 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_lines(text: str) -> list[str]:
+    """The non-blank lines of a graph6, edge-list or rotation input, split and
+    stripped at ASCII line breaks and whitespace only.
+
+    The formats are ASCII.  str.splitlines and str.strip also act on 0x85
+    and 0xa0 read as latin-1; here a line holding them fails its parse.
+    """
+    lines = (ln.strip(string.whitespace) for ln in text.replace("\r", "\n").split("\n"))
+    return [ln for ln in lines if ln]
+
+
+def _ascii_ints(line: str) -> list[int]:
+    """The whitespace-separated integers of an ASCII line."""
+    if not line.isascii():
+        raise ValueError(f"non-ASCII line {line!r}")
+    return [int(tok) for tok in line.split()]
+
+
 def parse_edge_list(text: str) -> Graph:
-    rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    rows = _text_lines(text)
     if not rows:
         raise ValueError("empty edge-list input")
     try:
-        order, m = map(int, rows[0].split())
+        order, m = _ascii_ints(rows[0])
     except ValueError:
         raise ValueError(f"bad edge-list header {rows[0]!r}") from None
     if len(rows) - 1 != m:
@@ -190,7 +223,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for ln in rows[1:]:
         try:
-            u, v = map(int, ln.split())
+            u, v = _ascii_ints(ln)
         except ValueError:
             raise ValueError(f"bad edge line {ln!r}") from None
         edges.append((u, v))
@@ -216,8 +249,10 @@ def components(g: Graph, within: int | None = None) -> list[int]:
         frontier = comp
         while frontier:
             grow = 0
-            for v in iter_bits(frontier):
-                grow |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grow & sub & ~comp
             comp |= frontier
         out.append(comp)
@@ -235,9 +270,13 @@ def is_complete(g: Graph) -> bool:
 
 def neighborhood_of_set(g: Graph, mask: int) -> int:
     """Open neighborhood N(S): vertices outside ``mask`` adjacent to it."""
+    adj = g.adj
     nbr = 0
-    for v in iter_bits(mask):
-        nbr |= g.adj[v]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        nbr |= adj[low.bit_length() - 1]
+        rest ^= low
     return nbr & ~mask
 
 
@@ -325,12 +364,14 @@ def degree_sum(g: Graph, s: int) -> int:
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph induced by ``mask``, vertices relabeled in ascending order."""
     verts = list(iter_bits(mask))
+    if not verts:
+        raise ValueError(f"order 0 outside 1..{MAX_ORDER}")
     index = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)
     for v in verts:
         for u in iter_bits(g.adj[v] & mask):
             adj[index[v]] |= 1 << index[u]
-    return Graph(len(verts), adj)
+    return Graph._trusted(len(verts), adj)
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
@@ -339,4 +380,4 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    return Graph(g.order, adj)
+    return Graph._trusted(g.order, adj)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, components, vertex_set
+from .graph import Graph, _ascii_ints, _text_lines, components, vertex_set
 
 Dart = tuple[int, int]
 FaceDarts = tuple[Dart, ...]
@@ -306,7 +306,7 @@ def write_rotation_system(system: RotationSystem) -> str:
 
 
 def parse_rotation_system(text: str) -> RotationSystem:
-    rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    rows = _text_lines(text)
     if not rows:
         raise ValueError("empty rotation input")
     if not rows[0].isdecimal():
@@ -318,8 +318,8 @@ def parse_rotation_system(text: str) -> RotationSystem:
     for ln in rows[1:]:
         head, _, tail = ln.partition(":")
         try:
-            v = int(head)
-            row = tuple(int(tok) for tok in tail.split())
+            (v,) = _ascii_ints(head)
+            row = tuple(_ascii_ints(tail))
         except ValueError:
             raise ValueError(f"bad rotation line {ln!r}") from None
         if not 0 <= v < n:

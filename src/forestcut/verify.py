@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import string
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -243,7 +244,7 @@ class Graph6Corpus:
         # stray byte fails parse_graph6 on its own line instead of the decode
         with open(self.path, encoding="latin-1") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
+                line = line.strip(string.whitespace)
                 if not line:
                     continue
                 try:

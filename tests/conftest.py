@@ -41,6 +41,16 @@ def symmetric_graphs() -> dict[str, Graph]:
     }
 
 
+def assert_validated(g: Graph) -> None:
+    """``g`` is the graph the validating constructor builds from its rows.
+
+    parse_graph6, build_graph, delete_edge and induced_subgraph build their
+    rows themselves and skip Graph's checks; this runs them after the fact.
+    """
+    assert type(g.adj) is tuple
+    assert Graph(g.order, g.adj) == g
+
+
 def _random_connected_graph(n: int, seed: int) -> Graph:
     """Deterministic connected graph: random spanning tree plus extra edges."""
     rng = random.Random(seed)

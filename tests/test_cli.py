@@ -192,6 +192,49 @@ class TestSingleGraphInput:
         assert "expected one graph6 line, got 2" in captured.err
 
 
+class TestUndecodableInput:
+    """Inputs are read as latin-1, so the parser names a stray byte itself,
+    and a non-ASCII space or line break fails its line."""
+
+    @pytest.mark.parametrize("command, data, want", [
+        (["check"], b"\xffw\n", "bad order byte 255"),
+        (["audit", "--format", "edges"], b"\xff3 2\n0 1\n1 2\n", "bad edge-list header '\xff3 2'"),
+        (["planar-cut", "--edge", "0,1"], b"3\n0: 1 2\xff\n1: 2 0\n2: 0 1\n",
+         "bad rotation line '0: 1 2\xff'"),
+        (["check", "--format", "edges"], b"3 2\n0 1\n1\xa02\n", "bad edge line '1\\xa02'"),
+        (["check", "--format", "edges"], b"3 2\n0 1\x851 2\n", "header promises 2 edges, found 1"),
+        (["planar-cut", "--edge", "0,1"], b"3\n0: 1\xa02\n1: 2 0\n2: 0 1\n",
+         "bad rotation line '0: 1\\xa02'"),
+    ], ids=["graph6", "edges", "rotation", "edges-nbsp", "edges-nel", "rotation-nbsp"])
+    def test_parser_names_the_bad_byte(self, capsys, tmp_path, command, data, want):
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        code = cli.run([command[0], "--input", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {want}\n"
+
+    def test_stdin_bytes_read_as_latin1(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xffw\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert cli.run(["check", "--input", "-"]) == 2
+        assert capsys.readouterr().err == "error: bad order byte 255\n"
+
+    @pytest.mark.parametrize("data, code", [
+        (b"Bw\xa0\n", 2), (b"Bw\x85\n", 2), (b"Bw\r\n", 0), (b" Bw \n", 0),
+    ])
+    def test_graph6_whitespace_is_ascii(self, capsys, tmp_path, data, code):
+        path = tmp_path / "one.g6"
+        path.write_bytes(data)
+        assert cli.run(["check", "--input", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "error: expected 1 data bytes, got 2\n"
+        else:
+            assert captured.out == "NONE\n"
+
+
 class TestEnumerateCommand:
     def test_census_via_filters(self, capsys):
         code, lines = run_lines(
@@ -249,6 +292,13 @@ class TestVerifyCommand:
         code, lines = run_lines(capsys, ["verify", "--claim", "theorem2", "--input", str(path)])
         assert code == 0
         assert lines == [f"theorem2 {path}[malformed-lines=1] 2 0"]
+
+    def test_non_ascii_whitespace_is_a_malformed_line(self, capsys, tmp_path):
+        path = tmp_path / "ws.g6"
+        path.write_bytes(b"Bw\xa0\nBw\x85\n")
+        code, lines = run_lines(capsys, ["verify", "--claim", "theorem2", "--input", str(path)])
+        assert code == 0
+        assert lines == [f"theorem2 {path}[malformed-lines=2] 0 0"]
 
     def test_exit_code_on_counterexample(self, capsys, monkeypatch, tmp_path):
         from forestcut import verify as verify_module

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from collections import Counter
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from forestcut.constructions import (
+    FIXTURE_NAMES,
     GlueSpec,
     clique_glue,
     cycle_diagonals_universal,
@@ -32,13 +34,21 @@ from forestcut.graph import (
     iter_bits,
     vertex_connectivity_at_least,
     vertex_set,
+    write_graph6,
 )
 from forestcut.verify import enumerate_connected_graphs
 
+# sha256 over every connected, non-complete graph of order <= 7 and the nine
+# non-complete fixtures, one line per graph: its graph6 and the repr of what
+# the walk gives.  Pinned when the walk first tested its seeds as it found
+# them; a reordered walk that finds the same sets still changes them.
+SEPARATOR_STREAM_SHA256 = "d09bf3fdb6939908d9aeafaf76fc1f22a15fb84460b7193c8b5a8557643a25e1"
+WITNESS_SHA256 = "3e3c0c9223be28a2e5822a1fb2b263d9179fd34f20718f93ca982d8dd3380eff"
 
-def primitive_calls(run):
-    """How often ``run()`` enters is_connected and is_complete, by function."""
-    watched = {is_connected.__code__: "is_connected", is_complete.__code__: "is_complete"}
+
+def primitive_calls(run, functions=(is_connected, is_complete)):
+    """How often ``run()`` enters each of ``functions``, by name."""
+    watched = {f.__code__: f.__name__ for f in functions}
     calls = Counter()
 
     def hook(frame, event, arg):
@@ -63,6 +73,24 @@ def c5():
 
 def p3():
     return build_graph(3, [(0, 1), (1, 2)])
+
+
+def grid(rows, cols):
+    return build_graph(rows * cols, [(r * cols + c, r * cols + c + 1)
+                                     for r in range(rows) for c in range(cols - 1)]
+                       + [(r * cols + c, (r + 1) * cols + c)
+                          for r in range(rows - 1) for c in range(cols)])
+
+
+def stream_digest(read):
+    """sha256 of ``graph6 repr(read(g))`` lines over the pinned graphs."""
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    graphs += [fixture(name) for name in FIXTURE_NAMES]
+    digest = hashlib.sha256()
+    for g in graphs:
+        if not is_complete(g):
+            digest.update(f"{write_graph6(g)} {read(g)}\n".encode())
+    return digest.hexdigest()
 
 
 def brute_minimal_cuts(g):
@@ -149,6 +177,11 @@ class TestMinimalSeparators:
                 continue
             assert sorted(enumerate_minimal_separators(g)) == brute_minimal_cuts(g)
 
+    def test_stream_order_pinned(self):
+        assert stream_digest(lambda g: list(enumerate_minimal_separators(g))) == (
+            SEPARATOR_STREAM_SHA256
+        )
+
     def test_every_vertex_sees_all_components(self, random_connected_graph):
         for seed in range(20):
             g = random_connected_graph(8, seed)
@@ -198,12 +231,37 @@ class TestFindForestCut:
         calls = primitive_calls(lambda: finder(fixture("prism")))
         assert calls == {"is_connected": 1}
 
+    @pytest.mark.parametrize("g, cut, most", [
+        (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 4),
+        (grid(6, 6), vertex_set([1, 6]), 4),
+        (k3_band_cycle(30, 5), vertex_set([0, 1, 2]), 10),
+    ], ids=["c20", "grid6x6", "band30_5"])
+    def test_first_hit_reads_only_the_seeds_before_it(self, g, cut, most):
+        # the bound counts every components call: the precondition's
+        # is_connected, induced_is_forest's on the band and _make_witness's
+        # included.  A walk that computes every seed first makes 23, 39 and 68.
+        found = []
+        calls = primitive_calls(lambda: found.append(find_forest_cut(g)), (components,))
+        assert calls["components"] <= most
+        assert found[0].cut == cut
+
     def test_runs_beyond_the_exhaustive_cap(self):
         g = k3_band_cycle(30, 5)
         w = find_forest_cut(g)
         assert w is not None and w.cut == vertex_set([0, 1, 2])
         with pytest.raises(ValueError, match="exhaustive search capped at 28 vertices"):
             find_forest_cut_exhaustive(g)
+
+
+def test_witnesses_pinned():
+    finders = (find_forest_cut, find_independent_cut,
+               lambda g: find_independent_cut_avoiding(g, 0))
+
+    def witnesses(g):
+        found = [finder(g) for finder in finders]
+        return [w and (w.cut, w.rep_a, w.rep_b, w.kind) for w in found]
+
+    assert stream_digest(witnesses) == WITNESS_SHA256
 
 
 class TestIndependentCut:

@@ -2,11 +2,15 @@ from itertools import combinations
 
 import pytest
 
+from conftest import assert_validated
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.graph import (
+    Graph,
     build_graph,
     components,
     degree_sum,
+    delete_edge,
+    induced_subgraph,
     induced_is_forest,
     is_vertex_cut,
     masks_of_size,
@@ -18,6 +22,7 @@ from forestcut.graph import (
     write_graph6,
 )
 from forestcut.lp import build_primal, check_feasible, profile_point
+from forestcut.verify import enumerate_graphs
 
 
 def k4():
@@ -98,6 +103,12 @@ class TestGraph6:
         with pytest.raises(ValueError, match="bad order byte 233"):
             parse_graph6("\u00e9w")
 
+    def test_only_ascii_whitespace_is_stripped(self):
+        assert parse_graph6("Bw\r\n") == parse_graph6(" Bw ") == build_graph(3, [(0, 1), (0, 2), (1, 2)])
+        for space in ("\u3000", "\xa0", "\x85"):
+            with pytest.raises(ValueError, match="expected 1 data bytes, got 2"):
+                parse_graph6("Bw" + space)
+
     def test_round_trip_random(self, random_connected_graph):
         for seed in range(25):
             g = random_connected_graph(4 + seed % 9, seed)
@@ -107,6 +118,36 @@ class TestGraph6:
         for name in ("k4", "k33", "prism", "octahedron", "icosahedron", "wheel5"):
             g = fixture(name)
             assert parse_graph6(write_graph6(g)) == g
+
+
+class TestTrustedConstruction:
+
+    def test_every_class_up_to_order_7(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                assert_validated(g)
+                assert_validated(parse_graph6(write_graph6(g)))
+                assert parse_graph6(write_graph6(g)) == g
+                for u, v in g.edges():
+                    assert_validated(delete_edge(g, u, v))
+                for mask in range(1, 1 << n, 7):  # every seventh vertex set keeps this fast
+                    assert_validated(induced_subgraph(g, mask))
+
+    def test_empty_induced_subgraph_rejected(self):
+        with pytest.raises(ValueError, match=r"order 0 outside 1\.\.128"):
+            induced_subgraph(k4(), 0)
+
+    @pytest.mark.parametrize("order, adj, message", [
+        (0, [], r"order 0 outside 1\.\.128"),
+        (129, [0] * 129, r"order 129 outside 1\.\.128"),
+        (3, [2, 1], "adjacency has 2 rows for order 3"),
+        (2, [2, 5], "adjacency row 1 references vertices >= 2"),
+        (2, [1, 0], "vertex 0 is adjacent to itself"),
+        (3, [2, 0, 0], r"adjacency not symmetric at \(0, 1\)"),
+    ])
+    def test_public_constructor_still_checks(self, order, adj, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(order, adj)
 
 
 class TestEdgeListFormat:

@@ -314,6 +314,15 @@ class TestIngest:
         assert len(list(corpus)) == 2
         assert corpus.malformed == [(2, "bad order byte 255")]
 
+    def test_non_ascii_whitespace_is_a_malformed_line(self, tmp_path):
+        # latin-1 no-break space (0xa0) and next-line (0x85) are not graph6 whitespace
+        path = tmp_path / "ws.g6"
+        path.write_bytes(b"Bw\xa0\nBw\x85\n Bw \r\n")
+        corpus = ingest_graph6(str(path))
+        assert len(list(corpus)) == 1
+        assert corpus.malformed == [(1, "expected 1 data bytes, got 2"),
+                                    (2, "expected 1 data bytes, got 2")]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.g6"
         path.write_text("")
