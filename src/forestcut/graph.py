@@ -7,10 +7,12 @@ for the orders this package targets (at most 128 vertices).
 
 from __future__ import annotations
 
-import string
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 128
+
+# string.whitespace, spelled out: importing string compiles a regex
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -151,7 +153,7 @@ def parse_graph6(text: str) -> Graph:
     graph6 is ASCII, so only ASCII whitespace around the line is ignored; a
     non-ASCII space stays in the line and fails it.
     """
-    line = text.strip(string.whitespace)
+    line = text.strip(_ASCII_WHITESPACE)
     if not line:
         raise ValueError("empty graph6 line")
     head = ord(line[0])
@@ -199,7 +201,7 @@ def _text_lines(text: str) -> list[str]:
     The formats are ASCII.  str.splitlines and str.strip also act on 0x85
     and 0xa0 read as latin-1; here a line holding them fails its parse.
     """
-    lines = (ln.strip(string.whitespace) for ln in text.replace("\r", "\n").split("\n"))
+    lines = (ln.strip(_ASCII_WHITESPACE) for ln in text.replace("\r", "\n").split("\n"))
     return [ln for ln in lines if ln]
 
 

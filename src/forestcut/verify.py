@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import string
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from typing import Callable, Iterable, Iterator
 from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
 from .graph import (
     Graph,
+    _ASCII_WHITESPACE,
     degree_sum,
     induced_is_forest,
     is_connected,
@@ -244,7 +244,7 @@ class Graph6Corpus:
         # stray byte fails parse_graph6 on its own line instead of the decode
         with open(self.path, encoding="latin-1") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip(string.whitespace)
+                line = line.strip(_ASCII_WHITESPACE)
                 if not line:
                     continue
                 try:

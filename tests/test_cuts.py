@@ -39,9 +39,8 @@ from forestcut.graph import (
 from forestcut.verify import enumerate_connected_graphs
 
 # sha256 over every connected, non-complete graph of order <= 7 and the nine
-# non-complete fixtures, one line per graph: its graph6 and the repr of what
-# the walk gives.  Pinned when the walk first tested its seeds as it found
-# them; a reordered walk that finds the same sets still changes them.
+# non-complete fixtures (see stream_digest).  A walk that finds the same sets
+# in another order, or a finder that returns another witness, changes them.
 SEPARATOR_STREAM_SHA256 = "d09bf3fdb6939908d9aeafaf76fc1f22a15fb84460b7193c8b5a8557643a25e1"
 WITNESS_SHA256 = "3e3c0c9223be28a2e5822a1fb2b263d9179fd34f20718f93ca982d8dd3380eff"
 
@@ -259,7 +258,7 @@ def test_witnesses_pinned():
 
     def witnesses(g):
         found = [finder(g) for finder in finders]
-        return [w and (w.cut, w.rep_a, w.rep_b, w.kind) for w in found]
+        return [None if w is None else (w.cut, w.rep_a, w.rep_b, w.kind) for w in found]
 
     assert stream_digest(witnesses) == WITNESS_SHA256
 
