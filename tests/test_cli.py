@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -6,7 +7,11 @@ from conftest import ORDER8_CONJECTURE2_FLAGS
 from forestcut import cli
 from forestcut.constructions import conjecture2_family, cycle_diagonals_universal, fixture
 from forestcut.graph import parse_graph6, write_graph6
-from forestcut.planar import octahedron_triangulation, write_rotation_system
+from forestcut.planar import (
+    octahedron_triangulation,
+    random_stacked_triangulation,
+    write_rotation_system,
+)
 from forestcut.verify import CLAIM_NAMES, Density, canonical_graph6
 
 
@@ -22,6 +27,12 @@ STACKED_9_7_ROT = """9
 7: 1 3 8 0
 8: 7 3 0
 """
+
+
+# sha256 over `gen --family stacked --n N --seed S --format rot` stdout for
+# N = 4..128 and S = 0..5, each followed by "outer A B C\n", the generator's
+# outer face.  Computed with the per-vertex `stack_vertex` generator.
+STACKED_ROT_SHA256 = "652b4ccf9b4ec5ba2a5f45d16ff08d3f83c36dda28c6fda536d56e8a6b343816"
 
 
 # `forestcut audit` stdout, byte for byte.  The order-10 graph has degree-4
@@ -373,6 +384,24 @@ class TestGenCommand:
         # one cut is V(Q), the other {z, u}
         for edge, want in (("0,1", ["cut 0 1 3"]), ("0,5", ["cut 3 4"])):
             assert run_lines(capsys, ["planar-cut", "--input", str(path), "--edge", edge]) == (0, want)
+
+    def test_stacked_rot_output_pinned_over_orders(self, capsys, monkeypatch):
+        built = []
+
+        def recording(n, seed):
+            built.append(random_stacked_triangulation(n, seed))
+            return built[-1]
+
+        monkeypatch.setitem(cli._GEN_FAMILIES, "stacked", (recording, ("n", "seed")))
+        digest = hashlib.sha256()
+        for n in range(4, 129):
+            for seed in range(6):
+                argv = ["gen", "--family", "stacked", "--n", str(n), "--seed", str(seed),
+                        "--format", "rot"]
+                assert cli.run(argv) == 0
+                digest.update(capsys.readouterr().out.encode())
+                digest.update(("outer %d %d %d\n" % built[-1].outer_face).encode())
+        assert digest.hexdigest() == STACKED_ROT_SHA256
 
     def test_stacked_deterministic_per_seed(self, capsys):
         cli.run(["gen", "--family", "stacked", "--n", "9", "--seed", "2"])

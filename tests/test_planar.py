@@ -78,6 +78,17 @@ def is_stacked(g):
     return True
 
 
+def stacked_by_stack_vertex(n, seed):
+    """The stacked generator written as one ``stack_vertex`` call per vertex:
+    pick a seeded face of the traced list, the outer face left out."""
+    tri = k4_triangulation()
+    rng = random.Random(seed)
+    while tri.graph.order < n:
+        candidates = [f for f in faces(tri.embedding) if set(f) != set(tri.outer_face)]
+        tri = stack_vertex(tri, candidates[rng.randrange(len(candidates))])
+    return tri
+
+
 def networkx_triangulation(nx, n, seed):
     """A maximal planar graph from shuffled edges, with networkx's rotation."""
     rng = random.Random(seed)
@@ -204,6 +215,15 @@ class TestStackVertex:
         assert len(calls) == 97  # the edge picks reuse the generator's trace
         stack_vertex(t, faces(t.embedding)[5])
         assert len(calls) == 98  # only the new triangulation traces
+
+    @pytest.mark.parametrize("n", [*range(4, 41), 60, 100, 128])
+    def test_generator_matches_stack_vertex_loop(self, n):
+        for seed in range(3):
+            want = stacked_by_stack_vertex(n, seed)
+            got = random_stacked_triangulation(n, seed)
+            assert got.embedding.rot == want.embedding.rot
+            assert got.outer_face == want.outer_face
+            assert got.embedding._faces == want.embedding._faces
 
     def test_generator_sizes(self):
         for n in range(4, 13):
