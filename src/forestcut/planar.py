@@ -10,11 +10,12 @@ are either generator outputs or parsed rotation files.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, _ascii_ints, _text_lines, components, vertex_set
+from .graph import MAX_ORDER, Graph, _ascii_ints, _text_lines, components, vertex_set
 
 Dart = tuple[int, int]
 FaceDarts = tuple[Dart, ...]
@@ -132,27 +133,33 @@ def face_containing_edge(system: RotationSystem, u: int, v: int) -> tuple[int, .
     raise ValueError(f"({u}, {v}) does not bound a face")
 
 
-def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
-    """Insert a new vertex into a face, joined to the three corners.
+def _stack_into(rot: list[list[int]], corners: Sequence[int]) -> int:
+    """Add a vertex w = len(rot) inside the face with the cycle ``corners``.
 
-    Rotations change only locally: the new vertex slips into each corner
-    rotation right after the face predecessor, and its own rotation is the
-    face cycle reversed.
+    Rotations change only locally: w slips into each corner rotation right
+    after the face predecessor, and its own rotation is the face cycle
+    reversed.  Returns w.
     """
+    w = len(rot)
+    for u, v in zip(corners, corners[1:] + corners[:1]):
+        row = rot[v]
+        row.insert(row.index(u) + 1, w)
+    rot.append(list(reversed(corners)))
+    return w
+
+
+def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
+    """Insert a new vertex into a face, joined to the three corners."""
     system = tri.embedding
     target = _match_face(system._faces, tuple(face))
     if target is None:
         raise ValueError(f"{tuple(face)} is not a face of the embedding")
-    w = system.graph.order
-    corners = [d[0] for d in target]
+    corners = tuple(d[0] for d in target)
     new_rot = [list(r) for r in system.rot]
-    for u, v in target:
-        at = new_rot[v].index(u)
-        new_rot[v].insert(at + 1, w)
-    new_rot.append(list(reversed(corners)))
+    w = _stack_into(new_rot, corners)
     outer = tri.outer_face
     if set(corners) == set(outer):
-        outer = (target[0][0], target[0][1], w)
+        outer = (corners[0], corners[1], w)
     return PlaneTriangulation(_rotation_system(new_rot), outer)
 
 
@@ -191,18 +198,41 @@ def icosahedron_triangulation() -> PlaneTriangulation:
 
 
 def random_stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
-    """Stack seed-chosen interior faces of K4 until the order reaches n."""
+    """Stack seed-chosen interior faces of K4 until the order reaches n.
+
+    Each step stacks into the face at a seeded position of the traced face
+    list, the outer face left out, exactly as one ``stack_vertex`` call per
+    vertex would.  The faces are kept without tracing them again: in a
+    triangulation ``_face_darts`` first meets each face at its dart out of
+    its least vertex a, so the trace order is the order of the key
+    (a, position in rot[a] of the vertex after a).  Stacking only inserts
+    into rotations, so the surviving faces keep their relative order, and
+    the three new faces are placed by bisection on that key.  The
+    triangulation is built and validated once, at the end.
+    """
     if n < 4:
         raise ValueError("stacked triangulations start at order 4")
+    if n > MAX_ORDER:
+        raise ValueError(f"stacked triangulations stop at order {MAX_ORDER}, got {n}")
     tri = k4_triangulation()
+    rot = [list(r) for r in tri.embedding.rot]
+    # each face as its vertex cycle from its least vertex, in trace order
+    face_list = [tuple(d[0] for d in f) for f in tri.embedding._faces]
+
+    def key(f: tuple[int, ...]) -> tuple[int, int]:
+        return f[0], rot[f[0]].index(f[1])
+
+    # The outer face (0, 1, 2) is traced first, from the dart (0, 1), and
+    # stays first: no insertion lands at the head of a rotation, so rot[0]
+    # keeps starting at 1.  The seeded pick skips it by position.
     rng = random.Random(seed)
-    while tri.graph.order < n:
-        face_list = tri.embedding._faces
-        outer = _match_face(face_list, tri.outer_face)
-        candidates = [f for f in face_list if f is not outer]
-        choice = candidates[rng.randrange(len(candidates))]
-        tri = stack_vertex(tri, tuple(d[0] for d in choice))
-    return tri
+    while len(rot) < n:
+        corners = face_list.pop(1 + rng.randrange(len(face_list) - 1))
+        w = _stack_into(rot, corners)
+        # the new faces are x y w for each face dart (x, y); w is the largest
+        for x, y in zip(corners, corners[1:] + corners[:1]):
+            insort(face_list, (x, y, w) if x < y else (y, w, x), key=key)
+    return PlaneTriangulation(_rotation_system(rot), tri.outer_face)
 
 
 # ---------------------------------------------------------------------------

@@ -206,15 +206,16 @@ class TestStackVertex:
 
         monkeypatch.setattr(planar, "_face_darts", counted)
         t = random_stacked_triangulation(100, 3)
-        assert len(calls) == 97  # K4, then one per stacked vertex
+        assert len(calls) <= 2  # K4 and the final build
+        traced = len(calls)
         prop1_forest_cut(t, t.outer_face[:2])
         edges = list(t.graph.edges())
         for u, v in edges[::len(edges) // 4][:4]:
             rooted = reroot(t, face_containing_edge(t.embedding, u, v))
             prop1_forest_cut(rooted, (u, v))
-        assert len(calls) == 97  # the edge picks reuse the generator's trace
+        assert len(calls) == traced  # the edge picks reuse the generator's trace
         stack_vertex(t, faces(t.embedding)[5])
-        assert len(calls) == 98  # only the new triangulation traces
+        assert len(calls) == traced + 1  # only the new triangulation traces
 
     @pytest.mark.parametrize("n", [*range(4, 41), 60, 100, 128])
     def test_generator_matches_stack_vertex_loop(self, n):
@@ -224,6 +225,15 @@ class TestStackVertex:
             assert got.embedding.rot == want.embedding.rot
             assert got.outer_face == want.outer_face
             assert got.embedding._faces == want.embedding._faces
+
+    @pytest.mark.parametrize("n, message", [
+        (3, "stacked triangulations start at order 4"),
+        (129, "stacked triangulations stop at order 128, got 129"),
+        (10**9, "stacked triangulations stop at order 128, got 1000000000"),
+    ])
+    def test_generator_order_bounds(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_stacked_triangulation(n, 0)
 
     def test_generator_sizes(self):
         for n in range(4, 13):
