@@ -270,7 +270,7 @@ class RowCheck(NamedTuple):
     slack is rhs - lhs for "<=" and "=" rows and lhs - rhs for ">=" rows,
     so a satisfied inequality has slack >= 0.  den > 0 is a common
     denominator of the row's lhs and rhs; the two exact Fractions are
-    built only when read.
+    built only when read, and a zero reads as the shared ``ZERO``.
     """
 
     row_id: str
@@ -283,11 +283,11 @@ class RowCheck(NamedTuple):
 
     @property
     def lhs(self) -> Fraction:
-        return Fraction(self.lhs_num, self.den)
+        return Fraction(self.lhs_num, self.den) if self.lhs_num else ZERO
 
     @property
     def slack(self) -> Fraction:
-        return Fraction(self.slack_num, self.den)
+        return Fraction(self.slack_num, self.den) if self.slack_num else ZERO
 
 
 @dataclass(frozen=True)
