@@ -127,11 +127,13 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode in standard short-form graph6 (orders up to 62)."""
+    """Encode in standard graph6: the short form up to order 62, and above
+    it the long form, ``~`` then the order in three 6-bit bytes."""
     n = g.order
     if n > 62:
-        raise ValueError(f"graph6 short form caps at 62 vertices, got {n}")
-    out = [chr(63 + n)]
+        out = ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
+    else:
+        out = [chr(63 + n)]
     buf = 0
     nbits = 0
     for j in range(1, n):
@@ -148,7 +150,8 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 line.
+    """Decode one graph6 line, in the short form or, for orders 63..128, the
+    long form.
 
     graph6 is ASCII, so only ASCII whitespace around the line is ignored; a
     non-ASCII space stays in the line and fails it.
@@ -158,15 +161,17 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError("empty graph6 line")
     head = ord(line[0])
     if head == 126:
-        raise ValueError("long-form graph6 (order > 62) not supported")
-    if not 63 <= head < 126:
-        raise ValueError(f"bad order byte {head}")
-    n = head - 63
+        n = _long_form_order(line[1:4])
+        body = line[4:]
+    else:
+        if not 63 <= head < 126:
+            raise ValueError(f"bad order byte {head}")
+        n = head - 63
+        body = line[1:]
     if n < 1:
         raise ValueError("graph6 order 0 not representable here")
     npairs = n * (n - 1) // 2
     want = (npairs + 5) // 6
-    body = line[1:]
     if len(body) != want:
         raise ValueError(f"expected {want} data bytes, got {len(body)}")
     # read the bits in the order write_graph6 writes them: column j, then row i < j
@@ -185,6 +190,24 @@ def parse_graph6(text: str) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph._trusted(n, adj)
+
+
+def _long_form_order(field: str) -> int:
+    """The order in the three bytes after a long-form ``~``.  A second ``~``
+    opens the eight-byte form, for orders above 258047."""
+    if field[:1] == "~":
+        raise ValueError(f"graph6 order above 258047, outside 63..{MAX_ORDER}")
+    if len(field) < 3:
+        raise ValueError("long-form graph6 needs three order bytes")
+    n = 0
+    for ch in field:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise ValueError(f"bad order byte {val + 63}")
+        n = n << 6 | val
+    if not 63 <= n <= MAX_ORDER:
+        raise ValueError(f"long-form graph6 order {n} outside 63..{MAX_ORDER}")
+    return n
 
 
 def write_edge_list(g: Graph) -> str:

@@ -403,6 +403,15 @@ class TestGenCommand:
                 digest.update(("outer %d %d %d\n" % built[-1].outer_face).encode())
         assert digest.hexdigest() == STACKED_ROT_SHA256
 
+    def test_stacked_above_order_62_in_long_form_graph6(self, capsys, tmp_path):
+        code, lines = run_lines(capsys, ["gen", "--family", "stacked", "--n", "100", "--seed", "7"])
+        assert code == 0 and lines[0].startswith("~?@c")  # 100 = 1 * 64 + 36
+        assert parse_graph6(lines[0]) == random_stacked_triangulation(100, 7).graph
+        path = tmp_path / "stacked100.g6"
+        path.write_text(lines[0] + "\n")
+        code, lines = run_lines(capsys, ["verify", "--claim", "conjecture1", "--input", str(path)])
+        assert (code, lines) == (0, [f"conjecture1 {path} 1 0"])  # one graph scanned, none flagged
+
     def test_stacked_deterministic_per_seed(self, capsys):
         cli.run(["gen", "--family", "stacked", "--n", "9", "--seed", "2"])
         first = capsys.readouterr().out

@@ -22,6 +22,7 @@ from forestcut.graph import (
     write_graph6,
 )
 from forestcut.lp import build_primal, check_feasible, profile_point
+from forestcut.planar import random_stacked_triangulation
 from forestcut.verify import enumerate_graphs
 
 
@@ -88,14 +89,41 @@ class TestGraph6:
         with pytest.raises(ValueError, match=r"data byte 33 outside 63\.\.126"):
             parse_graph6("C!")
 
-    def test_order_above_62_rejected(self):
-        with pytest.raises(ValueError, match="graph6 short form caps at 62 vertices, got 63"):
-            write_graph6(build_graph(63, []))
-        with pytest.raises(ValueError, match="long-form graph6"):
-            parse_graph6("~??")
+    def test_long_form_above_order_62(self):
+        # '~', then 63 as three 6-bit bytes 0, 0, 63; 63 * 62 / 2 bits fill 326 bytes
+        assert write_graph6(build_graph(63, [])) == "~??~" + "?" * 326
+        assert write_graph6(build_graph(62, [])) == "}" + "?" * 316
+        for n, head in ((64, "~?@?"), (127, "~?@~"), (128, "~?A?")):
+            g = build_graph(n, [(0, n - 1), (n - 2, n - 1)])
+            line = write_graph6(g)
+            assert line.startswith(head) and parse_graph6(line) == g
+
+    @pytest.mark.parametrize("line, message", [
+        ("~?A@", "long-form graph6 order 129 outside 63..128"),
+        ("~??}", "long-form graph6 order 62 outside 63..128"),
+        ("~~??????", r"graph6 order above 258047, outside 63\.\.128"),
+        ("~??", "long-form graph6 needs three order bytes"),
+        ("~?!~", "bad order byte 33"),
+        ("~??~???", "expected 326 data bytes, got 3"),
+    ])
+    def test_long_form_out_of_range_rejected(self, line, message):
+        with pytest.raises(ValueError, match=message):
+            parse_graph6(line)
+
+    def test_long_form_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(63, 129):
+            g = random_stacked_triangulation(n, n).graph
+            line = write_graph6(g)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            assert line.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
+            back = nx.from_graph6_bytes(line.encode())
+            assert parse_graph6(line) == build_graph(n, back.edges()) == g
 
     def test_order_byte_above_126_rejected(self):
-        # 127 would read as order 64, which write_graph6 refuses
+        # 127 would read as order 64, which takes the long form
         with pytest.raises(ValueError, match="bad order byte 127"):
             parse_graph6(chr(127) + "?" * 336)
 

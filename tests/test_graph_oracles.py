@@ -1,6 +1,6 @@
-"""hypothesis graphs up to graph6's 62 vertices through the builders that
-skip Graph's validation (see ``conftest.assert_validated``).  Skipped where
-hypothesis is not installed.
+"""hypothesis graphs up to 128 vertices, in both graph6 forms, through the
+builders that skip Graph's validation (see ``conftest.assert_validated``).
+Skipped where hypothesis is not installed.
 """
 
 import pytest
@@ -20,8 +20,8 @@ st = pytest.importorskip("hypothesis.strategies")
 
 @st.composite
 def graphs_with_a_vertex_set(draw):
-    """A graph of order 1..62 with up to 3n edges, and a non-empty vertex set."""
-    n = draw(st.integers(1, 62))
+    """A graph of order 1..128 with up to 3n edges, and a non-empty vertex set."""
+    n = draw(st.integers(1, 128))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     g = build_graph(n, draw(st.lists(pairs, max_size=3 * n)))
     return g, draw(st.integers(1, (1 << n) - 1))
