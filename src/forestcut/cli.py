@@ -8,6 +8,7 @@ line-oriented text and identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -182,7 +183,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The parser and its ``verify`` subparser, built once per process."""
     parser = argparse.ArgumentParser(prog="forestcut")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -207,8 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin-n", type=int, default=None)
     group.add_argument("--input", default=None, help="graph6 corpus file")
-    p.add_argument("--workers", type=int, default=os.environ.get("FORESTCUT_WORKERS", "1"))
+    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_verify)
+    verify_parser = p
 
     p = sub.add_parser("gen", help="emit one of the named constructions")
     p.add_argument("--family", choices=tuple(_GEN_FAMILIES), required=True)
@@ -238,6 +242,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-")
     p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
     p.set_defaults(func=_cmd_audit)
+    return parser, verify_parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, with ``verify --workers`` defaulting to FORESTCUT_WORKERS
+    as it is now.  The default stays a string, so argparse converts it and
+    reports a bad value as it does a bad ``--workers``."""
+    parser, verify_parser = _parsers()
+    verify_parser.set_defaults(workers=os.environ.get("FORESTCUT_WORKERS", "1"))
     return parser
 
 

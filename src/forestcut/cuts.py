@@ -14,14 +14,15 @@ that once, on entry (``_require_connected``), and then trusts it: the walk
 every seed comes from a component of G - N[v] = empty, so the finders
 return None for K_n without a test of their own.
 
-The walk tests each seed as it finds it, so a finder that stops at its
-first hit never computes the seeds after it.
+The walk tests each set as it finds it and hands the finders the
+components its test computed, so a finder that stops at its first hit
+computes nothing after it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from .graph import (
@@ -71,8 +72,8 @@ def witness_is_valid(g: Graph, w: CutWitness) -> bool:
     return len(loc_a) == 1 and len(loc_b) == 1 and loc_a != loc_b
 
 
-def _make_witness(g: Graph, cut: int, kind: str) -> CutWitness:
-    comps = components(g, g.vertex_mask & ~cut)
+def _make_witness(cut: int, comps: list[int], kind: str) -> CutWitness:
+    """The witness for ``cut``, given the components of G - cut."""
     rep_a = (comps[0] & -comps[0]).bit_length() - 1
     rep_b = (comps[1] & -comps[1]).bit_length() - 1
     return CutWitness(cut, rep_a, rep_b, kind)
@@ -96,69 +97,40 @@ def find_forest_cut_exhaustive(g: Graph) -> Optional[CutWitness]:
     full = g.vertex_mask
     for size in range(1, n - 1):
         for s in masks_of_size(n, size):
-            if len(components(g, full & ~s)) >= 2 and induced_is_forest(g, s):
-                return _make_witness(g, s, FOREST)
+            comps = components(g, full & ~s)
+            if len(comps) >= 2 and induced_is_forest(g, s):
+                return _make_witness(s, comps, FOREST)
     return None
 
 
-def _minimal_separators(g: Graph) -> Iterator[int]:
-    """Stream every inclusion-minimal vertex cut of a connected graph exactly once.
+def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
+    """Stream every inclusion-minimal vertex cut S of a connected graph exactly
+    once, with the components of G - S.
 
-    Candidate separators are grown by close-neighborhood expansion: the
-    neighborhoods of the components of G - N[v] seed the search, and for a
-    known separator S and s in S the components of G - (S u N(s)) supply
-    new ones.  That walk reaches every minimal a-b separator; the sets
-    emitted are the ones whose removal leaves only components seeing all of
-    S, which is exactly inclusion-minimality as a cut.
-
-    Each seed is tested as soon as it is found, so an early-exit caller
-    stops before the remaining seeds are computed.  The stream is the one a
-    walk that queues every seed first and tests each set as it leaves the
-    FIFO would give: every child is queued after the last seed in both, so
-    the queue order is the same; the first ``len(seeds)`` pops are the
-    seeds, which are not tested again; each expansion runs against the same
-    ``seen`` set (every seed plus the children queued before it); and the
-    test is a pure function of the set, so the same sets pass in the same
-    order.
+    Close-neighbourhood expansion (Berry, Bordat and Cogis, IJFCS 11, 2000):
+    the sets S are the neighbourhoods of the components of G - N[v] for each
+    v, then of G - (S u N(x)) for each S in discovery order and x in S.  S is
+    a minimal cut when G - S has two or more components and each sees all of
+    S.  Each set is tested where it is found; a FIFO pops in discovery order,
+    so the stream is the one a walk testing each set as it leaves the queue
+    would give.
     """
     adj = g.adj
     full = g.vertex_mask
-
-    def close_separators(excluded: int) -> list[int]:
-        out = []
-        for comp in components(g, full & ~excluded):
-            nbr = neighborhood_of_set(g, comp)
-            if nbr:
-                out.append(nbr)
-        return out
-
-    def is_minimal_cut(s: int) -> bool:
-        comps = components(g, full & ~s)
-        if len(comps) < 2:
-            return False
-        return all(neighborhood_of_set(g, c) == s for c in comps)
-
     seen: set[int] = set()
-    queue: deque[int] = deque()
-    for v in range(g.order):
-        for s in close_separators(adj[v] | 1 << v):
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-                if is_minimal_cut(s):
-                    yield s
-    tested = len(queue)
-    while queue:
-        s = queue.popleft()
-        if tested:
-            tested -= 1
-        elif is_minimal_cut(s):
-            yield s
-        for x in iter_bits(s):
-            for t in close_separators(s | adj[x]):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
+    found: list[int] = []  # the FIFO: a list iterated while it grows
+    closed = (adj[v] | 1 << v for v in range(g.order))
+    expanded = (s | adj[x] for s in found for x in iter_bits(s))
+    for excluded in chain(closed, expanded):
+        for comp in components(g, full & ~excluded):
+            s = neighborhood_of_set(g, comp)
+            if s in seen:
+                continue
+            seen.add(s)
+            found.append(s)
+            comps = components(g, full & ~s)
+            if len(comps) >= 2 and all(neighborhood_of_set(g, c) == s for c in comps):
+                yield s, comps
 
 
 def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
@@ -167,7 +139,8 @@ def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
     _require_connected(g, minimum_order=1)
     if is_complete(g):
         raise ValueError("complete graphs have no separator")
-    yield from _minimal_separators(g)
+    for s, _ in _minimal_separators(g):
+        yield s
 
 
 def universal_vertex_reduction(g: Graph) -> Optional[tuple[int, Graph]]:
@@ -189,9 +162,9 @@ def universal_vertex_reduction(g: Graph) -> Optional[tuple[int, Graph]]:
 
 def _first_cut(g: Graph, accept: Callable[[int], bool], kind: str) -> Optional[CutWitness]:
     """The first minimal separator the walk meets that ``accept`` takes, as a witness."""
-    for s in _minimal_separators(g):
+    for s, comps in _minimal_separators(g):
         if accept(s):
-            return _make_witness(g, s, kind)
+            return _make_witness(s, comps, kind)
     return None
 
 
@@ -227,6 +200,6 @@ def all_minimal_forest_cuts(g: Graph) -> list[int]:
     _require_connected(g, minimum_order=2)
     if is_complete(g):
         raise ValueError("complete graphs have no vertex cut")
-    cuts = [s for s in _minimal_separators(g) if induced_is_forest(g, s)]
+    cuts = [s for s, _ in _minimal_separators(g) if induced_is_forest(g, s)]
     cuts.sort(key=lambda s: (s.bit_count(), s))
     return cuts

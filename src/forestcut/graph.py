@@ -75,7 +75,8 @@ class Graph:
         return hash((self.order, self.adj))
 
     def __reduce__(self):
-        return (Graph, (self.order, self.adj))
+        # the rows were checked when this graph was built
+        return (Graph._trusted, (self.order, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, m={self.size})"

@@ -99,6 +99,15 @@ FIXTURE_GRAPH6 = {
 }
 
 
+# `FORESTCUT_WORKERS=junk verify --claim chenyu --builtin-n 4` stderr at COLUMNS=80
+JUNK_WORKERS_USAGE = """usage: forestcut verify [-h] --claim
+                        {chenyu,conjecture1,conjecture2,theorem1,theorem2}
+                        (--builtin-n BUILTIN_N | --input INPUT)
+                        [--workers WORKERS]
+forestcut verify: error: argument --workers: invalid int value: 'junk'
+"""
+
+
 def run_lines(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
@@ -581,13 +590,14 @@ class TestDeterminism:
 class TestWorkersEnvironment:
     def test_env_variable_sets_default(self, capsys, monkeypatch):
         argv = ["verify", "--claim", "chenyu", "--builtin-n", "4"]
+        monkeypatch.setenv("COLUMNS", "80")
         monkeypatch.setenv("FORESTCUT_WORKERS", "6")
         assert cli._build_parser().parse_args(argv).workers == 6
         monkeypatch.setenv("FORESTCUT_WORKERS", "junk")
         assert cli.run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'junk'" in captured.err
+        assert captured.err == JUNK_WORKERS_USAGE
         assert cli.run(argv + ["--workers", "1"]) == 0
         monkeypatch.delenv("FORESTCUT_WORKERS")
         assert cli._build_parser().parse_args(argv).workers == 1

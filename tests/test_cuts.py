@@ -15,6 +15,7 @@ from forestcut.constructions import (
 )
 from forestcut.cuts import (
     CutWitness,
+    _minimal_separators,
     all_minimal_forest_cuts,
     enumerate_minimal_separators,
     find_forest_cut,
@@ -32,6 +33,7 @@ from forestcut.graph import (
     is_connected,
     is_independent_set,
     iter_bits,
+    neighborhood_of_set,
     vertex_connectivity_at_least,
     vertex_set,
     write_graph6,
@@ -81,14 +83,18 @@ def grid(rows, cols):
                           for r in range(rows - 1) for c in range(cols)])
 
 
-def stream_digest(read):
-    """sha256 of ``graph6 repr(read(g))`` lines over the pinned graphs."""
+def pinned_graphs():
+    """Every connected, non-complete graph of order <= 7, then the non-complete fixtures."""
     graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     graphs += [fixture(name) for name in FIXTURE_NAMES]
+    return [g for g in graphs if not is_complete(g)]
+
+
+def stream_digest(read):
+    """sha256 of ``graph6 repr(read(g))`` lines over the pinned graphs."""
     digest = hashlib.sha256()
-    for g in graphs:
-        if not is_complete(g):
-            digest.update(f"{write_graph6(g)} {read(g)}\n".encode())
+    for g in pinned_graphs():
+        digest.update(f"{write_graph6(g)} {read(g)}\n".encode())
     return digest.hexdigest()
 
 
@@ -181,6 +187,14 @@ class TestMinimalSeparators:
             SEPARATOR_STREAM_SHA256
         )
 
+    def test_walk_yields_the_components_of_g_minus_s(self):
+        # the finders build their witnesses from these lists
+        for g in pinned_graphs():
+            for s, comps in _minimal_separators(g):
+                assert comps == components(g, g.vertex_mask & ~s)
+                assert len(comps) >= 2
+                assert all(neighborhood_of_set(g, c) == s for c in comps)
+
     def test_every_vertex_sees_all_components(self, random_connected_graph):
         for seed in range(20):
             g = random_connected_graph(8, seed)
@@ -231,14 +245,15 @@ class TestFindForestCut:
         assert calls == {"is_connected": 1}
 
     @pytest.mark.parametrize("g, cut, most", [
-        (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 4),
-        (grid(6, 6), vertex_set([1, 6]), 4),
-        (k3_band_cycle(30, 5), vertex_set([0, 1, 2]), 10),
+        (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 3),
+        (grid(6, 6), vertex_set([1, 6]), 3),
+        (k3_band_cycle(30, 5), vertex_set([0, 1, 2]), 9),
     ], ids=["c20", "grid6x6", "band30_5"])
     def test_first_hit_reads_only_the_seeds_before_it(self, g, cut, most):
         # the bound counts every components call: the precondition's
-        # is_connected, induced_is_forest's on the band and _make_witness's
-        # included.  A walk that computes every seed first makes 23, 39 and 68.
+        # is_connected and induced_is_forest's on the band included.  The
+        # witness reuses the components the walk's test computed.  A walk
+        # that computes every seed before testing the first makes 22, 38 and 35.
         found = []
         calls = primitive_calls(lambda: found.append(find_forest_cut(g)), (components,))
         assert calls["components"] <= most

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -161,6 +163,25 @@ class TestTrustedConstruction:
                     assert_validated(delete_edge(g, u, v))
                 for mask in range(1, 1 << n, 7):  # every seventh vertex set keeps this fast
                     assert_validated(induced_subgraph(g, mask))
+
+    def test_pickle_and_copy_skip_the_checks(self, monkeypatch):
+        graphs = [parse_graph6(write_graph6(g)) for n in range(1, 7) for g in enumerate_graphs(n)]
+        graphs.append(random_stacked_triangulation(100, 3).graph)
+        inits = []
+        init = Graph.__init__
+
+        def counting_init(self, order, adj):
+            inits.append(order)
+            init(self, order, adj)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        copies = [pickle.loads(pickle.dumps(graphs, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies.append(copy.deepcopy(graphs))
+        assert inits == []
+        for again in copies:
+            assert again == graphs
+            assert all(type(g) is Graph and type(g.adj) is tuple for g in again)
 
     def test_empty_induced_subgraph_rejected(self):
         with pytest.raises(ValueError, match=r"order 0 outside 1\.\.128"):
