@@ -209,7 +209,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--claim", choices=verify.CLAIM_NAMES, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin-n", type=int, default=None)
-    group.add_argument("--input", default=None, help="graph6 corpus file")
+    group.add_argument("--input", default=None, help="graph6 corpus file, or - for stdin")
     p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_verify)
     verify_parser = p

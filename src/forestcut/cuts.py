@@ -16,7 +16,10 @@ return None for K_n without a test of their own.
 
 The walk tests each set as it finds it and hands the finders the
 components its test computed, so a finder that stops at its first hit
-computes nothing after it.
+computes nothing after it.  Each set S is the neighbourhood of a component
+C of G - X for an excluded set X that holds S, so C is already a full
+component of G - S (it misses S and has no neighbour outside it), and the
+test searches only G - S - C.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Callable, Iterator, Optional
 
 from .graph import (
     Graph,
+    component_neighbourhoods,
     components,
     induced_is_forest,
     induced_subgraph,
@@ -36,7 +40,6 @@ from .graph import (
     is_vertex_cut,
     iter_bits,
     masks_of_size,
-    neighborhood_of_set,
 )
 
 EXHAUSTIVE_ORDER_CAP = 28
@@ -111,9 +114,12 @@ def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
     the sets S are the neighbourhoods of the components of G - N[v] for each
     v, then of G - (S u N(x)) for each S in discovery order and x in S.  S is
     a minimal cut when G - S has two or more components and each sees all of
-    S.  Each set is tested where it is found; a FIFO pops in discovery order,
-    so the stream is the one a walk testing each set as it leaves the queue
-    would give.
+    S.  The component C of G - X (X = N[v] or S' u N(x)) that gives S = N(C)
+    is already one of them: S lies in X, so C misses S, and C has no
+    neighbour outside S.  So only G - S - C is searched again, and C is
+    merged back by its lowest vertex.  Each set is tested where it is found;
+    a FIFO pops in discovery order, so the stream is the one a walk testing
+    each set as it leaves the queue would give.
     """
     adj = g.adj
     full = g.vertex_mask
@@ -122,15 +128,14 @@ def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
     closed = (adj[v] | 1 << v for v in range(g.order))
     expanded = (s | adj[x] for s in found for x in iter_bits(s))
     for excluded in chain(closed, expanded):
-        for comp in components(g, full & ~excluded):
-            s = neighborhood_of_set(g, comp)
+        for comp, s in component_neighbourhoods(adj, full & ~excluded):
             if s in seen:
                 continue
             seen.add(s)
             found.append(s)
-            comps = components(g, full & ~s)
-            if len(comps) >= 2 and all(neighborhood_of_set(g, c) == s for c in comps):
-                yield s, comps
+            rest = component_neighbourhoods(adj, full & ~s & ~comp)
+            if rest and all(nbr == s for _, nbr in rest):
+                yield s, sorted([comp, *(c for c, _ in rest)], key=lambda c: c & -c)
 
 
 def enumerate_minimal_separators(g: Graph) -> Iterator[int]:

@@ -260,30 +260,38 @@ def parse_edge_list(text: str) -> Graph:
 # connectivity primitives
 
 
-def components(g: Graph, within: int | None = None) -> list[int]:
-    """Connected components (as bit sets) of the subgraph induced by ``within``.
+def component_neighbourhoods(adj: Sequence[int], sub: int) -> list[tuple[int, int]]:
+    """Each connected component C of the subgraph induced by ``sub``, paired
+    with its open neighbourhood N(C), by ascending smallest member of C.
 
-    Components are listed by ascending smallest member, so the output is
-    deterministic.
+    One breadth-first search per component reads the row of each vertex of
+    ``sub`` once.  N(C) costs nothing more: the union of the rows read from C
+    holds C's neighbours, and those outside ``sub`` are exactly N(C).
     """
-    sub = g.vertex_mask if within is None else within
-    adj = g.adj
     out = []
     rest = sub
     while rest:
-        comp = rest & -rest
-        frontier = comp
+        comp = frontier = rest & -rest
+        reach = 0
         while frontier:
             grow = 0
             while frontier:
                 low = frontier & -frontier
                 grow |= adj[low.bit_length() - 1]
                 frontier ^= low
+            reach |= grow
             frontier = grow & sub & ~comp
             comp |= frontier
-        out.append(comp)
+        out.append((comp, reach & ~sub))
         rest &= ~comp
     return out
+
+
+def components(g: Graph, within: int | None = None) -> list[int]:
+    """Connected components (as bit sets) of the subgraph induced by ``within``,
+    by ascending smallest member, so the output is deterministic."""
+    sub = g.vertex_mask if within is None else within
+    return [comp for comp, _ in component_neighbourhoods(g.adj, sub)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -292,18 +300,6 @@ def is_connected(g: Graph) -> bool:
 
 def is_complete(g: Graph) -> bool:
     return g.size == g.order * (g.order - 1) // 2
-
-
-def neighborhood_of_set(g: Graph, mask: int) -> int:
-    """Open neighborhood N(S): vertices outside ``mask`` adjacent to it."""
-    adj = g.adj
-    nbr = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        nbr |= adj[low.bit_length() - 1]
-        rest ^= low
-    return nbr & ~mask
 
 
 def induced_is_forest(g: Graph, s: int) -> bool:

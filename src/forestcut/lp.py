@@ -178,25 +178,30 @@ def profile_point(g: Graph) -> dict[str, int]:
     return point
 
 
-# The cached rows live for the whole process, so they share their Fractions.
+# The cached names and rows live for the whole process, so the rows, the
+# dual's variables and a DualPoint's assignment share their strings, and the
+# rows share their Fractions.
+@lru_cache(maxsize=None)
+def _y_name(j: int) -> str:
+    return f"y_{j}"
+
+
 @lru_cache(maxsize=None)
 def _dual_degree_row(j: int) -> LpRow:
     coeff = Fraction(j)
-    return LpRow(f"n_{j}", {"x_1": ONE, "x_4": coeff, f"y_{j}": coeff}, "<=", Fraction(j, 2))
+    return LpRow(f"n_{j}", {"x_1": ONE, "x_4": coeff, _y_name(j): coeff}, "<=", Fraction(j, 2))
 
 
 @lru_cache(maxsize=None)
 def _dual_split_row(j: int) -> LpRow:
-    return LpRow(f"n_4^{j}", {"x_2": NEG_ONE, f"y_{j}": NEG_ONE}, "<=", ZERO)
+    return LpRow(f"n_4^{j}", {"x_2": NEG_ONE, _y_name(j): NEG_ONE}, "<=", ZERO)
 
 
 def build_dual(n: int) -> LpInstance:
     """The dual program, transcribed directly; row ids name the primal variable."""
     if n < 8:
         raise ValueError(f"the program needs n >= 8, got {n}")
-    variables = tuple(
-        ["x_1", "x_2", "x_3", "x_4"] + [f"y_{j}" for j in range(5, n)]
-    )
+    variables = ("x_1", "x_2", "x_3", "x_4", *map(_y_name, range(5, n)))
     rows = [
         LpRow("n_4", {"x_1": ONE, "x_2": ONE, "x_4": Fraction(-2)}, "<=", Fraction(2)),
         LpRow("n_5", {"x_1": ONE, "x_4": Fraction(5), "y_5": Fraction(4)}, "<=", Fraction(5, 2)),
@@ -232,8 +237,7 @@ class DualPoint:
 
     def assignment(self) -> dict[str, Fraction]:
         out = {"x_1": self.x1, "x_2": self.x2, "x_3": self.x3, "x_4": self.x4}
-        for j, val in self.y.items():
-            out[f"y_{j}"] = val
+        out.update(zip(map(_y_name, self.y), self.y.values()))
         return out
 
 
@@ -309,21 +313,24 @@ class FeasibilityReport:
 def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> FeasibilityReport:
     """Evaluate every row and sign bound exactly; no floating point.
 
-    The point's values (Fractions or ints) are scaled once to one common
-    denominator.  Each row carries its integer form from when it was built,
+    The point's values (Fractions or ints) are scaled to one common
+    denominator, each distinct value object once.  Each row carries its integer form from when it was built,
     so a row costs one integer multiply-add per term, and each row and each
     sign bound is decided over integers.  No Fraction is built here: the
     8..1000 certificate sweeps evaluate about a million rows, and most
     callers read only ``feasible``.
     """
     variables = instance.variables
-    for v in variables:
-        if v not in point:
-            raise ValueError(f"point is missing variable {v!r}")
-    values = [point[v] for v in variables]
     try:
-        scale = lcm(*[p.denominator for p in values])
-        scaled = {v: p.numerator * (scale // p.denominator) for v, p in zip(variables, values)}
+        values = list(map(point.__getitem__, variables))
+    except KeyError:
+        missing = next(v for v in variables if v not in point)
+        raise ValueError(f"point is missing variable {missing!r}") from None
+    # keyed by id: the certificate shares one Fraction across every y_j
+    distinct = dict(zip(map(id, values), values))
+    try:
+        scale = lcm(*[p.denominator for p in distinct.values()])
+        num = {k: p.numerator * (scale // p.denominator) for k, p in distinct.items()}
     except (AttributeError, TypeError):
         bad, value = next(
             (v, p) for v, p in zip(variables, values) if not isinstance(p, (int, Fraction))
@@ -331,6 +338,7 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
         raise ValueError(
             f"point value of {bad!r} must be an int or a Fraction, got {value!r}"
         ) from None
+    scaled = dict(zip(variables, map(num.__getitem__, map(id, values))))
     checks = []
     # tuple.__new__ builds the same RowCheck without the namedtuple's
     # Python-level __new__, which is a call frame per row

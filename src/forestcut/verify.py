@@ -11,9 +11,11 @@ graph6, so reports are identical no matter how many workers scanned it.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -232,7 +234,8 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
 
 
 class Graph6Corpus:
-    """Iterable over the graphs of a graph6 file; bad lines are recorded."""
+    """Iterable over the graphs of a graph6 file, or of stdin for ``-``; bad
+    lines are recorded."""
 
     def __init__(self, path: str):
         self.path = path
@@ -240,19 +243,33 @@ class Graph6Corpus:
 
     def __iter__(self) -> Iterator[Graph]:
         self.malformed = []
+        for lineno, line in enumerate(self._lines(), 1):
+            line = line.strip(_ASCII_WHITESPACE)
+            if not line:
+                continue
+            try:
+                g = parse_graph6(line)
+            except ValueError as exc:
+                self.malformed.append((lineno, str(exc)))
+            else:
+                yield g
+
+    def _lines(self) -> Iterator[str]:
         # graph6 is ASCII; latin-1 reads each byte as one character, so a
         # stray byte fails parse_graph6 on its own line instead of the decode
-        with open(self.path, encoding="latin-1") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip(_ASCII_WHITESPACE)
-                if not line:
-                    continue
-                try:
-                    g = parse_graph6(line)
-                except ValueError as exc:
-                    self.malformed.append((lineno, str(exc)))
-                else:
-                    yield g
+        if self.path != "-":
+            with open(self.path, encoding="latin-1") as fh:
+                yield from fh
+            return
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:  # a text stream put in place of stdin is already decoded
+            yield from sys.stdin
+            return
+        text = io.TextIOWrapper(buffer, encoding="latin-1")
+        try:
+            yield from text
+        finally:
+            text.detach()  # stdin stays open
 
     def describe(self) -> str:
         if self.malformed:

@@ -45,7 +45,7 @@ TRANSCRIPT_SHA256 = {
     "gen": "4732a4e51c0b8d03628bcd98a82d68c7f8d39afe60bdbb58b41fceb509cfa5fb",
     "lp": "c6a00f629eb9862a4046e324ea451d53fc28b6d3400bc475ae5bf6566c42bbfe",
     "planar-cut": "aefaa21c83487d0109e8042999f55b9a952e3aefa456372f70e5abff07a967e1",
-    "verify": "db1643ab4db12c6be518bfcceeb0b68063eb97c0d5ced7e68ce67447a06a59e3",
+    "verify": "29db39f62b196b2ddb0ca1ba85f5159d58eebacfbfcc081add581a324e261417",
 }
 
 
@@ -147,6 +147,7 @@ def invocations(command: str, write) -> list:
             (["verify", "--claim", "theorem2"], None),
             (["verify", "--claim", "theorem2", "--input", missing], None),
             (["verify", "--claim", "theorem2", "--input", bad_byte], None),
+            (["verify", "--claim", "theorem2", "--input", "-"], "C~\n"),
         ]
     elif command == "gen":
         for name in FIXTURE_NAMES:

@@ -9,6 +9,7 @@ from forestcut.constructions import (
     FIXTURE_NAMES,
     GlueSpec,
     clique_glue,
+    conjecture2_family,
     cycle_diagonals_universal,
     fixture,
     k3_band_cycle,
@@ -33,7 +34,6 @@ from forestcut.graph import (
     is_connected,
     is_independent_set,
     iter_bits,
-    neighborhood_of_set,
     vertex_connectivity_at_least,
     vertex_set,
     write_graph6,
@@ -47,9 +47,9 @@ SEPARATOR_STREAM_SHA256 = "d09bf3fdb6939908d9aeafaf76fc1f22a15fb84460b7193c8b5a8
 WITNESS_SHA256 = "3e3c0c9223be28a2e5822a1fb2b263d9179fd34f20718f93ca982d8dd3380eff"
 
 
-def primitive_calls(run, functions=(is_connected, is_complete)):
-    """How often ``run()`` enters each of ``functions``, by name."""
-    watched = {f.__code__: f.__name__ for f in functions}
+def primitive_calls(run):
+    """How often ``run()`` enters is_connected and is_complete, by name."""
+    watched = {f.__code__: f.__name__ for f in (is_connected, is_complete)}
     calls = Counter()
 
     def hook(frame, event, arg):
@@ -62,6 +62,36 @@ def primitive_calls(run, functions=(is_connected, is_complete)):
     finally:
         sys.setprofile(None)
     return calls
+
+
+class CountingRows(tuple):
+    """Adjacency rows that count how often they are read by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def rows_read(run, g):
+    """How many adjacency rows of ``g`` ``run()`` reads by index."""
+    rows = CountingRows(g.adj)
+    plain = g.adj
+    object.__setattr__(g, "adj", rows)
+    try:
+        run()
+    finally:
+        object.__setattr__(g, "adj", plain)
+    return rows.reads
+
+
+def open_neighbourhood(g, mask):
+    """N(mask): the vertices outside ``mask`` adjacent to it."""
+    nbr = 0
+    for v in iter_bits(mask):
+        nbr |= g.adj[v]
+    return nbr & ~mask
 
 
 def c4():
@@ -193,7 +223,7 @@ class TestMinimalSeparators:
             for s, comps in _minimal_separators(g):
                 assert comps == components(g, g.vertex_mask & ~s)
                 assert len(comps) >= 2
-                assert all(neighborhood_of_set(g, c) == s for c in comps)
+                assert all(open_neighbourhood(g, c) == s for c in comps)
 
     def test_every_vertex_sees_all_components(self, random_connected_graph):
         for seed in range(20):
@@ -245,19 +275,29 @@ class TestFindForestCut:
         assert calls == {"is_connected": 1}
 
     @pytest.mark.parametrize("g, cut, most", [
-        (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 3),
-        (grid(6, 6), vertex_set([1, 6]), 3),
-        (k3_band_cycle(30, 5), vertex_set([0, 1, 2]), 9),
+        (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 41),
+        (grid(6, 6), vertex_set([1, 6]), 73),
+        (k3_band_cycle(30, 5), vertex_set([0, 1, 2]), 172),
     ], ids=["c20", "grid6x6", "band30_5"])
     def test_first_hit_reads_only_the_seeds_before_it(self, g, cut, most):
-        # the bound counts every components call: the precondition's
-        # is_connected and induced_is_forest's on the band included.  The
-        # witness reuses the components the walk's test computed.  A walk
-        # that computes every seed before testing the first makes 22, 38 and 35.
+        # the budget counts every adjacency row read: the precondition's,
+        # the walk's and induced_is_forest's.  The walk searches only
+        # G - S - C for the component C that found S, and the witness reuses
+        # the components of that search.  A walk that searches C again reads
+        # 58, 106 and 176 rows; one that also takes N(C) from a second pass
+        # over C reads 93, 173 and 219.
         found = []
-        calls = primitive_calls(lambda: found.append(find_forest_cut(g)), (components,))
-        assert calls["components"] <= most
+        assert rows_read(lambda: found.append(find_forest_cut(g)), g) <= most
         assert found[0].cut == cut
+
+    def test_full_walk_reads_each_component_once(self):
+        # G_11 has 37 vertices and 264 minimal separators, 252 of them
+        # forests.  Searching C again reads 28,946 rows; a second pass over
+        # each component for its neighbourhood, 55,478.
+        g = conjecture2_family(11)
+        found = []
+        assert rows_read(lambda: found.append(all_minimal_forest_cuts(g)), g) <= 22286
+        assert len(found[0]) == 252
 
     def test_runs_beyond_the_exhaustive_cap(self):
         g = k3_band_cycle(30, 5)
