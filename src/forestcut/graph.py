@@ -274,13 +274,11 @@ def component_neighbourhoods(adj: Sequence[int], sub: int) -> list[tuple[int, in
         comp = frontier = rest & -rest
         reach = 0
         while frontier:
-            grow = 0
             while frontier:
                 low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
+                reach |= adj[low.bit_length() - 1]
                 frontier ^= low
-            reach |= grow
-            frontier = grow & sub & ~comp
+            frontier = reach & sub & ~comp
             comp |= frontier
         out.append((comp, reach & ~sub))
         rest &= ~comp
@@ -295,7 +293,7 @@ def components(g: Graph, within: int | None = None) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    return len(component_neighbourhoods(g.adj, g.vertex_mask)) == 1
 
 
 def is_complete(g: Graph) -> bool:
@@ -313,7 +311,7 @@ def induced_is_forest(g: Graph, s: int) -> bool:
     count = s.bit_count()
     if edges >= count:
         return False
-    return edges == count - len(components(g, s))
+    return edges == count - len(component_neighbourhoods(g.adj, s))
 
 
 def is_independent_set(g: Graph, s: int) -> bool:
@@ -333,7 +331,7 @@ def is_vertex_cut(g: Graph, s: int) -> bool:
     rest = g.vertex_mask & ~s
     if rest == 0:
         return False
-    return len(components(g, rest)) >= 2
+    return len(component_neighbourhoods(g.adj, rest)) >= 2
 
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
@@ -346,10 +344,11 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     n = g.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} outside 1..{n - 1}")
+    adj = g.adj
     full = g.vertex_mask
     for size in range(k):
         for s in masks_of_size(n, size):
-            if len(components(g, full & ~s)) >= 2:
+            if len(component_neighbourhoods(adj, full & ~s)) >= 2:
                 return False
     return True
 

@@ -314,9 +314,10 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
     """Evaluate every row and sign bound exactly; no floating point.
 
     The point's values (Fractions or ints) are scaled to one common
-    denominator, each distinct value object once.  Each row carries its integer form from when it was built,
-    so a row costs one integer multiply-add per term, and each row and each
-    sign bound is decided over integers.  No Fraction is built here: the
+    denominator, each distinct value object once.  Each row carries its
+    integer form from when it was built, so a row costs one integer
+    multiply-add per term, and each row and each sign bound is decided over
+    integers.  No Fraction is built here: the
     8..1000 certificate sweeps evaluate about a million rows, and most
     callers read only ``feasible``.
     """

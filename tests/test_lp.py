@@ -289,6 +289,9 @@ class TestCheckFeasible:
         del point["y_5"]
         with pytest.raises(ValueError, match="point is missing variable 'y_5'"):
             check_feasible(build_dual(9), point)
+        del point["x_2"]  # the first missing variable in the program's order
+        with pytest.raises(ValueError, match="point is missing variable 'x_2'"):
+            check_feasible(build_dual(9), point)
 
     def test_negative_bound_flagged(self):
         point = certificate_dual_point(9)
