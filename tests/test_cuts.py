@@ -76,8 +76,8 @@ class CountingRows(tuple):
 
 def rows_read(run, g):
     """How many adjacency rows of ``g`` ``run()`` reads by index."""
-    rows = CountingRows(g.adj)
     plain = g.adj
+    rows = CountingRows(plain)
     object.__setattr__(g, "adj", rows)
     try:
         run()
