@@ -2,14 +2,15 @@
 
 Exit codes: 0 for success with no counterexamples, 1 when a verification
 run flags counterexamples, 2 for usage or input errors.  Output is plain
-line-oriented text and identical invocations print identical bytes.
+line-oriented text and identical invocations print identical bytes.  Every
+``--input``, a file or ``-`` for stdin, is read through ``graph.read_lines``,
+so the same bytes give the same answer however they arrive.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import constructions, cuts, lp, planar, verify
@@ -19,28 +20,14 @@ from .graph import (
     iter_bits,
     parse_edge_list,
     parse_graph6,
+    read_lines,
     write_edge_list,
     write_graph6,
 )
 
-def _read_text(path: str) -> str:
-    """The whole input, read as latin-1.
-
-    graph6, edge lists and rotation files are ASCII; latin-1 reads each byte
-    as one character, so a stray byte reaches the parser, whose message
-    names the bad input, instead of failing the decode.
-    """
-    if path == "-":
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is None:  # a text stream put in place of stdin is already decoded
-            return sys.stdin.read()
-        return buffer.read().decode("latin-1")
-    with open(path, encoding="latin-1") as fh:
-        return fh.read()
-
 
 def _load_graph(path: str, fmt: str) -> Graph:
-    text = _read_text(path)
+    text = "".join(read_lines(path))
     if fmt == "graph6":
         lines = _text_lines(text)
         if len(lines) != 1:
@@ -151,7 +138,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_planar_cut(args: argparse.Namespace) -> int:
     u, v = _parse_vertices("--edge", args.edge, 2)
-    system = planar.parse_rotation_system(_read_text(args.input))
+    system = planar.parse_rotation_system("".join(read_lines(args.input)))
     outer = planar.face_containing_edge(system, u, v)
     tri = planar.PlaneTriangulation(system, outer)
     cut = planar.prop1_forest_cut(tri, (u, v))
@@ -184,8 +171,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The parser and its ``verify`` subparser, built once per process."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(prog="forestcut")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,9 +197,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin-n", type=int, default=None)
     group.add_argument("--input", default=None, help="graph6 corpus file, or - for stdin")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
-    verify_parser = p
 
     p = sub.add_parser("gen", help="emit one of the named constructions")
     p.add_argument("--family", choices=tuple(_GEN_FAMILIES), required=True)
@@ -242,15 +228,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--input", default="-")
     p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
     p.set_defaults(func=_cmd_audit)
-    return parser, verify_parser
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, with ``verify --workers`` defaulting to FORESTCUT_WORKERS
-    as it is now.  The default stays a string, so argparse converts it and
-    reports a bad value as it does a bad ``--workers``."""
-    parser, verify_parser = _parsers()
-    verify_parser.set_defaults(workers=os.environ.get("FORESTCUT_WORKERS", "1"))
     return parser
 
 

@@ -31,7 +31,6 @@ from typing import Callable, Iterator, Optional
 from .graph import (
     Graph,
     component_neighbourhoods,
-    components,
     induced_is_forest,
     induced_subgraph,
     is_complete,
@@ -69,9 +68,9 @@ def witness_is_valid(g: Graph, w: CutWitness) -> bool:
         return False
     if w.kind == INDEPENDENT and not is_independent_set(g, w.cut):
         return False
-    comps = components(g, g.vertex_mask & ~w.cut)
-    loc_a = [i for i, c in enumerate(comps) if c >> w.rep_a & 1]
-    loc_b = [i for i, c in enumerate(comps) if c >> w.rep_b & 1]
+    comps = component_neighbourhoods(g.adj, g.vertex_mask & ~w.cut)
+    loc_a = [i for i, (c, _) in enumerate(comps) if c >> w.rep_a & 1]
+    loc_b = [i for i, (c, _) in enumerate(comps) if c >> w.rep_b & 1]
     return len(loc_a) == 1 and len(loc_b) == 1 and loc_a != loc_b
 
 
@@ -97,12 +96,13 @@ def find_forest_cut_exhaustive(g: Graph) -> Optional[CutWitness]:
     if g.order > EXHAUSTIVE_ORDER_CAP:
         raise ValueError(f"exhaustive search capped at {EXHAUSTIVE_ORDER_CAP} vertices")
     n = g.order
+    adj = g.adj
     full = g.vertex_mask
     for size in range(1, n - 1):
         for s in masks_of_size(n, size):
-            comps = components(g, full & ~s)
+            comps = component_neighbourhoods(adj, full & ~s)
             if len(comps) >= 2 and induced_is_forest(g, s):
-                return _make_witness(s, comps, FOREST)
+                return _make_witness(s, [c for c, _ in comps], FOREST)
     return None
 
 

@@ -7,6 +7,8 @@ for the orders this package targets (at most 128 vertices).
 
 from __future__ import annotations
 
+import io
+import sys
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 128
@@ -218,6 +220,30 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_lines(path: str) -> Iterator[str]:
+    """The lines of the file at ``path``, or of stdin for ``-``, split at
+    ``\\n``, ``\\r`` and ``\\r\\n`` alike; stdin stays open.
+
+    The inputs are ASCII.  Read as latin-1, a stray byte reaches the parser,
+    whose message names it, instead of failing the decode.
+    """
+    if path != "-":
+        with open(path, encoding="latin-1") as fh:
+            yield from fh
+        return
+    if sys.stdin is None:  # the process started with stdin closed
+        raise OSError("stdin is closed")
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # a text stream put in place of stdin is already decoded
+        yield from io.StringIO(sys.stdin.read(), newline=None)
+        return
+    text = io.TextIOWrapper(buffer, encoding="latin-1")
+    try:
+        yield from text
+    finally:
+        text.detach()  # stdin stays open
+
+
 def _text_lines(text: str) -> list[str]:
     """The non-blank lines of a graph6, edge-list or rotation input, split and
     stripped at ASCII line breaks and whitespace only.
@@ -283,13 +309,6 @@ def component_neighbourhoods(adj: Sequence[int], sub: int) -> list[tuple[int, in
         out.append((comp, reach & ~sub))
         rest &= ~comp
     return out
-
-
-def components(g: Graph, within: int | None = None) -> list[int]:
-    """Connected components (as bit sets) of the subgraph induced by ``within``,
-    by ascending smallest member, so the output is deterministic."""
-    sub = g.vertex_mask if within is None else within
-    return [comp for comp, _ in component_neighbourhoods(g.adj, sub)]
 
 
 def is_connected(g: Graph) -> bool:

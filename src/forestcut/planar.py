@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .graph import MAX_ORDER, Graph, _ascii_ints, _text_lines, components, vertex_set
+from .graph import MAX_ORDER, Graph, _ascii_ints, _text_lines, component_neighbourhoods, vertex_set
 
 Dart = tuple[int, int]
 FaceDarts = tuple[Dart, ...]
@@ -308,7 +308,7 @@ def prop1_forest_cut(tri: PlaneTriangulation, xy: tuple[int, int]) -> int:
     the closed cycle Q+xy has vertices strictly inside (on the side away
     from z) the cut is V(Q); otherwise it is {z, u} for the first interior
     fan vertex u of Q.  The inside is nonempty exactly when G - V(Q) has
-    more than one component, so one ``components`` call decides it.
+    more than one component, so one ``component_neighbourhoods`` call decides it.
     """
     g = tri.graph
     z, seq, path = _fan_path(tri, xy)
@@ -319,7 +319,7 @@ def prop1_forest_cut(tri: PlaneTriangulation, xy: tuple[int, int]) -> int:
     # through z's fan, or through the inside of a separating triangle
     # z q_i q_(i+1).  By the Jordan curve theorem no vertex inside the cycle
     # can reach z.  So the inside is nonempty iff G - V(Q) is disconnected.
-    if len(components(g, g.vertex_mask & ~q_mask)) > 1:
+    if len(component_neighbourhoods(g.adj, g.vertex_mask & ~q_mask)) > 1:
         return q_mask
     return 1 << z | 1 << seq[path[1]]
 
@@ -352,8 +352,9 @@ def parse_rotation_system(text: str) -> RotationSystem:
             row = tuple(_ascii_ints(tail))
         except ValueError:
             raise ValueError(f"bad rotation line {ln!r}") from None
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        for u in (v, *row):
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {u} outside 0..{n - 1}")
         if rot[v] is not None:
             raise ValueError(f"vertex {v} listed twice")
         rot[v] = row

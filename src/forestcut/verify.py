@@ -4,18 +4,17 @@ Graphs up to 8 vertices are enumerated one representative per isomorphism
 class by canonical augmentation (canonical form: the least relabeled
 adjacency rows over the leaves of an individualisation-refinement search
 pruned by the automorphisms it finds).
-Larger corpora arrive as graph6 files.  Each claim is one row of ``CLAIMS``;
+Larger corpora arrive as graph6 lines, from a file or stdin, through
+``graph.read_lines``.  Each claim is one row of ``CLAIMS``;
 ``run_check`` scans a corpus with it and reports counterexamples in canonical
 graph6, so reports are identical no matter how many workers scanned it.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import re
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from .graph import (
     is_connected,
     iter_bits,
     parse_graph6,
+    read_lines,
     vertex_connectivity_at_least,
     write_graph6,
 )
@@ -234,8 +234,8 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
 
 
 class Graph6Corpus:
-    """Iterable over the graphs of a graph6 file, or of stdin for ``-``; bad
-    lines are recorded."""
+    """Iterable over the graphs of a graph6 file, or of stdin for ``-``, read
+    through ``graph.read_lines``; bad lines are recorded with their numbers."""
 
     def __init__(self, path: str):
         self.path = path
@@ -243,7 +243,7 @@ class Graph6Corpus:
 
     def __iter__(self) -> Iterator[Graph]:
         self.malformed = []
-        for lineno, line in enumerate(self._lines(), 1):
+        for lineno, line in enumerate(read_lines(self.path), 1):
             line = line.strip(_ASCII_WHITESPACE)
             if not line:
                 continue
@@ -253,23 +253,6 @@ class Graph6Corpus:
                 self.malformed.append((lineno, str(exc)))
             else:
                 yield g
-
-    def _lines(self) -> Iterator[str]:
-        # graph6 is ASCII; latin-1 reads each byte as one character, so a
-        # stray byte fails parse_graph6 on its own line instead of the decode
-        if self.path != "-":
-            with open(self.path, encoding="latin-1") as fh:
-                yield from fh
-            return
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is None:  # a text stream put in place of stdin is already decoded
-            yield from sys.stdin
-            return
-        text = io.TextIOWrapper(buffer, encoding="latin-1")
-        try:
-            yield from text
-        finally:
-            text.detach()  # stdin stays open
 
     def describe(self) -> str:
         if self.malformed:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from forestcut.constructions import conjecture2_family, fixture
-from forestcut.graph import Graph, build_graph, is_connected
+from forestcut.graph import Graph, build_graph, component_neighbourhoods, is_connected
 
 # The 3-connected graphs on 7 vertices with m < 11n/5 - 18/5.  All three have
 # m = 11 and degree sequence 3^6 4^1: the planar fixtures fig1_c and fig1_d,
@@ -39,6 +39,11 @@ def symmetric_graphs() -> dict[str, Graph]:
         # 8 legs of length 2 around vertex 0: no twins, and 8! leaves unpruned
         "spider8": build_graph(17, [e for i in range(1, 9) for e in ((0, i), (i, i + 8))]),
     }
+
+
+def components(g: Graph, within: int) -> list[int]:
+    """The components of G[within] as bit sets, by ascending smallest member."""
+    return [comp for comp, _ in component_neighbourhoods(g.adj, within)]
 
 
 def assert_validated(g: Graph) -> None:

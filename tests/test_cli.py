@@ -12,7 +12,7 @@ from forestcut.planar import (
     random_stacked_triangulation,
     write_rotation_system,
 )
-from forestcut.verify import CLAIM_NAMES, Density, canonical_graph6
+from forestcut.verify import CLAIM_NAMES, Density, Graph6Corpus, canonical_graph6
 
 
 # `gen --family stacked --n 9 --seed 7 --format rot`, byte for byte
@@ -97,15 +97,6 @@ FIXTURE_GRAPH6 = {
     "prism": "E{Sw",
     "wheel5": "Dl{",
 }
-
-
-# `FORESTCUT_WORKERS=junk verify --claim chenyu --builtin-n 4` stderr at COLUMNS=80
-JUNK_WORKERS_USAGE = """usage: forestcut verify [-h] --claim
-                        {chenyu,conjecture1,conjecture2,theorem1,theorem2}
-                        (--builtin-n BUILTIN_N | --input INPUT)
-                        [--workers WORKERS]
-forestcut verify: error: argument --workers: invalid int value: 'junk'
-"""
 
 
 def run_lines(capsys, argv):
@@ -253,6 +244,60 @@ class TestUndecodableInput:
             assert captured.err == "error: expected 1 data bytes, got 2\n"
         else:
             assert captured.out == "NONE\n"
+
+
+# \r\n endings, a lone \r, blank lines and one malformed line, the seventh
+MIXED_ENDINGS = b"C~\r\nBw\r\n\r\nC~\rBw\n\n!!\r\nD??\n"
+
+
+def streams(tmp_path, monkeypatch, data):
+    """The same bytes as a file, a byte stdin and a decoded stdin: yields the
+    ``--input`` value for each, with stdin put in place."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    yield str(path)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    yield "-"
+    monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("latin-1")))
+    yield "-"
+
+
+class TestOneReader:
+    """Every ``--input`` splits lines at \\n, \\r and \\r\\n, however it arrives."""
+
+    def test_verify_reports_alike(self, capsys, monkeypatch, tmp_path):
+        for arg in streams(tmp_path, monkeypatch, MIXED_ENDINGS):
+            assert cli.run(["verify", "--claim", "theorem2", "--input", arg]) == 0
+            assert capsys.readouterr().out == f"theorem2 {arg}[malformed-lines=1] 5 0\n"
+
+    def test_corpus_numbers_lines_alike(self, monkeypatch, tmp_path):
+        for arg in streams(tmp_path, monkeypatch, MIXED_ENDINGS):
+            corpus = Graph6Corpus(arg)
+            assert [g.order for g in corpus] == [4, 3, 4, 3, 5]
+            assert corpus.malformed == [(7, "bad order byte 33")]
+
+    @pytest.mark.parametrize("command", ["check", "audit", "verify", "planar-cut"])
+    def test_closed_stdin_is_an_input_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr("sys.stdin", None)
+        extra = {"verify": ["--claim", "theorem2"], "planar-cut": ["--edge", "0,1"]}
+        assert cli.run([command, "--input", "-", *extra.get(command, [])]) == 2
+        assert capsys.readouterr() == ("", "error: stdin is closed\n")
+
+    @pytest.mark.parametrize("argv, text, code", [
+        (["check"], "\nDQc\n\n", 0),
+        (["check"], "C~\nC~\n", 2),
+        (["audit"], "\nDQc\n", 0),
+        (["planar-cut", "--edge", "0,1"], STACKED_9_7_ROT, 0),
+    ], ids=["check", "check-two-lines", "audit", "planar-cut"])
+    def test_single_graph_commands_read_alike(self, capsys, monkeypatch, tmp_path,
+                                              argv, text, code):
+        plain = tmp_path / "plain"
+        plain.write_text(text)
+        want = (cli.run([argv[0], "--input", str(plain), *argv[1:]]), capsys.readouterr())
+        assert want[0] == code
+        data = text.replace("\n", "\r\n").replace("\r\n", "\r", 1).encode()
+        for arg in streams(tmp_path, monkeypatch, data):
+            assert (cli.run([argv[0], "--input", arg, *argv[1:]]), capsys.readouterr()) == want
 
 
 class TestEnumerateCommand:
@@ -515,6 +560,12 @@ class TestPlanarCutCommand:
         assert cli.run(["planar-cut", "--input", str(path), "--edge", "0,1"]) == 2
         assert capsys.readouterr().err == "error: vertex 2 listed twice\n"
 
+    def test_row_vertex_out_of_range_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "row.rot"
+        path.write_text("2\n0: 1 -1\n1: 0\n")
+        assert cli.run(["planar-cut", "--input", str(path), "--edge", "0,1"]) == 2
+        assert capsys.readouterr().err == "error: vertex -1 outside 0..1\n"
+
     def test_bad_header_exit_2(self, capsys, tmp_path):
         path = tmp_path / "header.rot"
         path.write_text("2.5\n0: 1\n1: 0\n")
@@ -588,27 +639,19 @@ class TestDeterminism:
 
 
 class TestWorkersEnvironment:
-    def test_env_variable_sets_default(self, capsys, monkeypatch):
+    """``--workers`` alone sets the worker count; the environment does not."""
+
+    def test_default_is_one(self, capsys, monkeypatch):
         argv = ["verify", "--claim", "chenyu", "--builtin-n", "4"]
-        monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.setenv("FORESTCUT_WORKERS", "6")
-        assert cli._build_parser().parse_args(argv).workers == 6
         monkeypatch.setenv("FORESTCUT_WORKERS", "junk")
-        assert cli.run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == JUNK_WORKERS_USAGE
-        assert cli.run(argv + ["--workers", "1"]) == 0
-        monkeypatch.delenv("FORESTCUT_WORKERS")
         assert cli._build_parser().parse_args(argv).workers == 1
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_worker_count_below_one_rejected(self, capsys, monkeypatch, workers):
+    def test_worker_count_below_one_rejected(self, capsys, workers):
         argv = ["verify", "--claim", "chenyu", "--builtin-n", "5", "--workers", workers]
         assert cli.run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: workers must be at least 1, got {workers}\n"
-        monkeypatch.setenv("FORESTCUT_WORKERS", workers)
-        assert cli.run(argv[:-2]) == 2
-        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err

@@ -237,7 +237,6 @@ def transcript_digest(command: str, tmp_path, capsys, monkeypatch) -> str:
         return "{tmp}/" + name
 
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("FORESTCUT_WORKERS", raising=False)
     digest = hashlib.sha256()
     for argv, stdin in invocations(command, write):
         if stdin is not None:

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import components
 from forestcut.constructions import (
     FIXTURE_NAMES,
     GlueSpec,
@@ -28,7 +29,6 @@ from forestcut.cuts import (
 )
 from forestcut.graph import (
     build_graph,
-    components,
     induced_is_forest,
     is_complete,
     is_connected,

@@ -4,12 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import assert_validated
+from conftest import assert_validated, components
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.graph import (
     Graph,
     build_graph,
-    components,
     degree_sum,
     delete_edge,
     induced_subgraph,

@@ -367,6 +367,11 @@ class TestRotationFiles:
         with pytest.raises(ValueError, match=f"^bad rotation line {re.escape(repr(line))}$"):
             parse_rotation_system(f"2\n{line}\n1: 0\n")
 
+    @pytest.mark.parametrize("line, vertex", [("0: 1 -1", -1), ("0: 1 2", 2), ("-1: 0", -1)])
+    def test_vertex_out_of_range_named(self, line, vertex):
+        with pytest.raises(ValueError, match=f"^vertex {vertex} outside 0..1$"):
+            parse_rotation_system(f"2\n{line}\n1: 0\n")
+
     @pytest.mark.parametrize("header", ["x", "2.5", "3 4", "-2"])
     def test_bad_header_named(self, header):
         with pytest.raises(ValueError, match=f"^bad rotation header {re.escape(repr(header))}$"):

@@ -97,3 +97,31 @@ def test_import_leaves_the_process_pool_unloaded():
     ).stdout.splitlines()
     assert Path(out[0]).resolve().parent == ROOT / "src" / "forestcut"
     assert out[1] == "[]"
+
+
+# names whose use opens a path, reads stdin or reads the environment
+READER_NAMES = {"open", "input", "io.open", "os.open", "sys.stdin", "sys.__stdin__"}
+ENVIRONMENT_NAMES = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
+
+
+def used_names(tree: ast.AST):
+    """(line, name) for each bare name, ``module.attr`` and ``from module import attr``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_one_reader_and_no_environment():
+    """Only graph.py opens a path or reads stdin, and no module reads the environment."""
+    found = []
+    for path in sorted((ROOT / "src" / "forestcut").glob("*.py")):
+        banned = ENVIRONMENT_NAMES if path.name == "graph.py" else READER_NAMES | ENVIRONMENT_NAMES
+        for line, name in used_names(ast.parse(path.read_text())):
+            if name in banned:
+                found.append(f"{path.name}:{line} {name}")
+    assert found == []

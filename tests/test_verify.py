@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, symmetric_graphs
+from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, components, symmetric_graphs
 from forestcut import verify
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.cuts import find_forest_cut, find_independent_cut
@@ -528,7 +528,7 @@ class TestFigure1Census:
             assert find_forest_cut(g) is not None
 
     def test_census_members_are_sparse_and_3_connected(self):
-        from forestcut.graph import components, vertex_set
+        from forestcut.graph import vertex_set
 
         for n in (6, 7):
             for g in figure1_census(n):
