@@ -75,9 +75,10 @@ class GlueSpec:
 
 
 def _check_clique(g: Graph, tup: tuple[int, ...], label: str) -> None:
-    for i, u in enumerate(tup):
+    for u in tup:  # every vertex in range before any adjacency test reads it
         if not 0 <= u < g.order:
             raise ValueError(f"{label}: vertex {u} outside graph")
+    for i, u in enumerate(tup):
         for v in tup[i + 1:]:
             if not g.has_edge(u, v):
                 raise ValueError(f"{label}: {u} and {v} are not adjacent")

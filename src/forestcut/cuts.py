@@ -61,12 +61,10 @@ class CutWitness:
 
 
 def witness_is_valid(g: Graph, w: CutWitness) -> bool:
-    """Revalidate a witness from scratch."""
-    if not is_vertex_cut(g, w.cut):
-        return False
-    if w.kind == FOREST and not induced_is_forest(g, w.cut):
-        return False
-    if w.kind == INDEPENDENT and not is_independent_set(g, w.cut):
+    """Revalidate a witness from scratch; a kind other than forest or
+    independent is refused."""
+    holds = {FOREST: induced_is_forest, INDEPENDENT: is_independent_set}.get(w.kind)
+    if holds is None or not is_vertex_cut(g, w.cut) or not holds(g, w.cut):
         return False
     comps = component_neighbourhoods(g.adj, g.vertex_mask & ~w.cut)
     loc_a = [i for i, (c, _) in enumerate(comps) if c >> w.rep_a & 1]

@@ -256,10 +256,12 @@ def _text_lines(text: str) -> list[str]:
 
 
 def _ascii_ints(line: str) -> list[int]:
-    """The whitespace-separated integers of an ASCII line."""
-    if not line.isascii():
-        raise ValueError(f"non-ASCII line {line!r}")
-    return [int(tok) for tok in line.split()]
+    """The whitespace-separated integers of an ASCII line: ASCII digits with
+    an optional leading '-', so int's '1_0' and '+1' are refused."""
+    tokens = line.split()
+    if not line.isascii() or not all(tok.removeprefix("-").isdigit() for tok in tokens):
+        raise ValueError(f"non-integer token in {line!r}")
+    return [int(tok) for tok in tokens]
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -246,12 +246,14 @@ def _fan_path(
 
     The path visits strictly increasing fan positions, skips the direct x-y
     jump, has the fewest interior vertices, and is lexicographically first
-    among those.  Returns (z, None, None) when z has no fan (the triangle).
+    among those: one backward pass records each position's fewest hops to y
+    and lowest next position, and the path follows them from x.  Returns
+    (z, None, None) when z has no fan (the triangle).
     """
     x, y = xy
-    g = tri.graph
     outer = tri.outer_face
-    if {x, y} - set(outer) or x == y or not g.has_edge(x, y):
+    # no edge test for xy: two corners of a triangular face are adjacent
+    if {x, y} - set(outer) or x == y:
         raise ValueError(f"edge ({x}, {y}) is not on the outer face {outer}")
     z = next(v for v in outer if v not in (x, y))
 
@@ -259,42 +261,22 @@ def _fan_path(
     if len(rot_z) == 2:
         return z, None, None
 
+    # x z y is a traced face, so x and y are neighbours in the rotation at z
     at = rot_z.index(x)
     spun = rot_z[at:] + rot_z[:at]
-    if spun[-1] == y:
-        fan = list(spun[1:-1])
-    elif spun[1] == y:
-        fan = list(reversed(spun[2:]))
-    else:
-        raise ValueError(f"outer face corner at {z} does not join {x} to {y}")
-
-    seq = [x] + fan + [y]
+    seq = [x, *(spun[1:-1] if spun[-1] == y else spun[:1:-1]), y]
     last = len(seq) - 1
-
-    def hops(i: int, j: int) -> bool:
-        if i == 0 and j == last:
-            return False
-        return g.has_edge(seq[i], seq[j])
-
-    dist: list[Optional[int]] = [None] * (last + 1)
-    dist[last] = 0
+    adj = tri.graph.adj
+    # step[i] = (hops to y, next position); consecutive fan vertices share a
+    # face with z, so i + 1 always qualifies
+    step = [(0, last)] * (last + 1)
     for i in range(last - 1, -1, -1):
-        best = None
-        for j in range(i + 1, last + 1):
-            if dist[j] is not None and hops(i, j):
-                if best is None or dist[j] + 1 < best:
-                    best = dist[j] + 1
-        dist[i] = best
-    assert dist[0] is not None, "fan path must exist in a triangulation"
-
+        row = adj[seq[i]]
+        nexts = range(i + 1, last + 1 if i else last)  # x skips the jump to y
+        step[i] = min((step[j][0] + 1, j) for j in nexts if row >> seq[j] & 1)
     path = [0]
     while path[-1] != last:
-        i = path[-1]
-        nxt = next(
-            j for j in range(i + 1, last + 1)
-            if hops(i, j) and dist[j] == dist[i] - 1
-        )
-        path.append(nxt)
+        path.append(step[path[-1]][1])
     return z, seq, path
 
 
@@ -303,8 +285,8 @@ def prop1_forest_cut(tri: PlaneTriangulation, xy: tuple[int, int]) -> int:
 
     With outer face xyz, list the neighbors of z from x to y in rotation
     order; if z has no other neighbor the cut is {z}.  Otherwise take the
-    shortest strictly index-increasing x-y path Q through that fan
-    (lexicographically smallest on ties), avoiding the edge xy itself.  If
+    shortest strictly index-increasing x-y path Q through that fan, avoiding
+    the edge xy itself and lexicographically first on ties (``_fan_path``).  If
     the closed cycle Q+xy has vertices strictly inside (on the side away
     from z) the cut is V(Q); otherwise it is {z, u} for the first interior
     fan vertex u of Q.  The inside is nonempty exactly when G - V(Q) has

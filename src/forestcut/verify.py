@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, islice, pairwise
 from typing import Callable, Iterable, Iterator
 
 from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
@@ -390,7 +391,19 @@ def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
     scanned = 0
     flagged = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for g6 in pool.map(scan, corpus, chunksize=128) if pool else map(scan, corpus):
+        if pool:
+            # Executor.map submits all it is handed before it yields a result,
+            # so it is handed one batch at a time: a graph and the size - 1
+            # after it.  It submits them as it reads them, and pairwise makes
+            # the next call while the results of this one are read.
+            graphs = iter(corpus)
+            size = 1024 * workers
+            maps = (pool.map(scan, chain([g], islice(graphs, size - 1)), chunksize=128)
+                    for g in graphs)
+            results = chain.from_iterable(m for m, _ in pairwise(chain(maps, [()])))
+        else:
+            results = map(scan, corpus)
+        for g6 in results:
             scanned += 1
             if g6:
                 flagged.append(g6)

@@ -172,6 +172,19 @@ class TestCheckCommand:
             "the empty set separates a disconnected one\n"
         )
 
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("graph6", "?\n", "graph6 order 0 not representable here"),
+        ("edges", "0 0\n", "order 0 must be positive"),
+        ("edges", "11 1\n0 1_0\n", "bad edge line '0 1_0'"),
+    ])
+    def test_input_error_exit_2(self, capsys, monkeypatch, fmt, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = cli.run(["check", "--input", "-", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_avoid_with_forest_kind_exit_2(self, capsys, tmp_path):
         path = tmp_path / "c4.g6"
         path.write_text("Cr\n")
@@ -521,6 +534,15 @@ class TestGenCommand:
         assert captured.out == ""
         assert captured.err == f"error: {option} expects {want}, got {value!r}\n"
 
+    @pytest.mark.parametrize("clique, vertex", [("0,1,-1", -1), ("0,1,9", 9)])
+    def test_clique_vertex_outside_graph_exit_2(self, capsys, clique, vertex):
+        code = cli.run(["gen", "--family", "glue", "--a", "octahedron", "--b", "octahedron",
+                        "--clique-a", clique, "--clique-b", "0,1,2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: clique_a: vertex {vertex} outside graph\n"
+
     def test_usage_error_exit_2(self, capsys):
         assert cli.run(["gen", "--family", "nosuch"]) == 2
 
@@ -565,6 +587,20 @@ class TestPlanarCutCommand:
         path.write_text("2\n0: 1 -1\n1: 0\n")
         assert cli.run(["planar-cut", "--input", str(path), "--edge", "0,1"]) == 2
         assert capsys.readouterr().err == "error: vertex -1 outside 0..1\n"
+
+    @pytest.mark.parametrize("text, message", [
+        # K4 minus the edge 1-3: the face 0 1 2 3 is a quadrilateral
+        ("4\n0: 1 2 3\n1: 2 0\n2: 3 0 1\n3: 0 2\n", "embedding has a non-triangular face"),
+        ("", "empty rotation input"),
+        ("3\n0: 1 2\n1: 2 0\n2: 0 0_1\n", "bad rotation line '2: 0 0_1'"),
+    ])
+    def test_rotation_input_error_exit_2(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = cli.run(["planar-cut", "--input", "-", "--edge", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_bad_header_exit_2(self, capsys, tmp_path):
         path = tmp_path / "header.rot"

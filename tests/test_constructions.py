@@ -104,6 +104,15 @@ class TestCliqueGlue:
         with pytest.raises(ValueError, match="clique_a: 0 and 3 are not adjacent"):
             clique_glue(octa, octa, GlueSpec((0, 3), (0, 1)))
 
+    @pytest.mark.parametrize("clique, vertex", [((0, 1, -1), -1), ((0, 1, 9), 9), ((9, 0, 1), 9)])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_vertex_outside_graph_named(self, side, clique, vertex):
+        # the range is checked for every vertex before any adjacency test reads one
+        octa = fixture("octahedron")
+        spec = GlueSpec(clique, (0, 1, 2)) if side == "a" else GlueSpec((0, 1, 2), clique)
+        with pytest.raises(ValueError, match=f"^clique_{side}: vertex {vertex} outside graph$"):
+            clique_glue(octa, octa, spec)
+
     def test_bad_spec_shapes(self):
         with pytest.raises(ValueError, match="clique tuples must have equal length"):
             GlueSpec((0, 1), (0, 1, 2))

@@ -307,6 +307,37 @@ class TestFindForestCut:
             find_forest_cut_exhaustive(g)
 
 
+# C6 minus {0, 3} leaves the components {1, 2} and {4, 5}; the octahedron's
+# N(0) = {1, 2, 4, 5} separates 0 from 3 and induces a 4-cycle
+C6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+DIAMOND = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+
+
+class TestWitnessIsValid:
+    @pytest.mark.parametrize("kind", ["forest", "independent"])
+    def test_valid_witness_accepted(self, kind):
+        assert witness_is_valid(C6, CutWitness(0b1001, 1, 4, kind))
+
+    @pytest.mark.parametrize("g, witness", [
+        pytest.param(C6, CutWitness(0b0011, 2, 4, "forest"), id="not-a-cut"),
+        pytest.param(fixture("octahedron"), CutWitness(0b110110, 0, 3, "forest"),
+                     id="forest-cut-with-cycle"),
+        pytest.param(DIAMOND, CutWitness(0b0011, 2, 3, "independent"),
+                     id="independent-cut-with-edge"),
+        pytest.param(C6, CutWitness(0b1001, 1, 2, "forest"), id="representatives-together"),
+        pytest.param(C6, CutWitness(0b1001, 0, 4, "forest"), id="representative-in-cut"),
+        pytest.param(C6, CutWitness(0b1001, 1, 4, "acyclic"), id="unknown-kind"),
+        pytest.param(fixture("octahedron"), CutWitness(0b110110, 0, 3, "acyclic"),
+                     id="unknown-kind-cycle"),
+    ])
+    def test_rejected(self, g, witness):
+        assert not witness_is_valid(g, witness)
+
+    def test_edge_cut_is_a_forest_witness(self):
+        # the diamond's {0, 1} is rejected above only for its kind
+        assert witness_is_valid(DIAMOND, CutWitness(0b0011, 2, 3, "forest"))
+
+
 def test_witnesses_pinned():
     finders = (find_forest_cut, find_independent_cut,
                lambda g: find_independent_cut_avoiding(g, 0))

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from itertools import combinations
 
 import pytest
@@ -215,6 +216,20 @@ class TestEdgeListFormat:
     def test_non_integer_edge_line_named(self):
         with pytest.raises(ValueError, match="^bad edge line '1 x'$"):
             parse_edge_list("2 1\n1 x\n")
+
+    @pytest.mark.parametrize("line", ["0 1_0", "0 +1", "+0 1", "0 --1", "0 -", "0 \u0661"])
+    def test_only_digit_tokens_are_vertices(self, line):
+        # int() reads '1_0' as 10, '+1' as 1 and Arabic-Indic digits; the format does not
+        with pytest.raises(ValueError, match=f"^bad edge line {re.escape(repr(line))}$"):
+            parse_edge_list(f"11 1\n{line}\n")
+
+    def test_only_digit_tokens_in_header(self):
+        with pytest.raises(ValueError, match="^bad edge-list header '1_1 1'$"):
+            parse_edge_list("1_1 1\n0 1\n")
+
+    def test_negative_vertex_keeps_its_range_message(self):
+        with pytest.raises(ValueError, match=r"^edge \(0, -1\) outside order 3$"):
+            parse_edge_list("3 1\n0 -1\n")
 
 
 class TestInducedIsForest:

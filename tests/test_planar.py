@@ -367,6 +367,12 @@ class TestRotationFiles:
         with pytest.raises(ValueError, match=f"^bad rotation line {re.escape(repr(line))}$"):
             parse_rotation_system(f"2\n{line}\n1: 0\n")
 
+    @pytest.mark.parametrize("line", ["0: 0_1", "0: +1", "+0: 1", "0: 1 -", "0: --1"])
+    def test_only_digit_tokens_are_vertices(self, line):
+        # int() reads '0_1' as 1 and '+1' as 1; the format does not
+        with pytest.raises(ValueError, match=f"^bad rotation line {re.escape(repr(line))}$"):
+            parse_rotation_system(f"2\n{line}\n1: 0\n")
+
     @pytest.mark.parametrize("line, vertex", [("0: 1 -1", -1), ("0: 1 2", 2), ("-1: 0", -1)])
     def test_vertex_out_of_range_named(self, line, vertex):
         with pytest.raises(ValueError, match=f"^vertex {vertex} outside 0..1$"):

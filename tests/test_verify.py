@@ -401,6 +401,51 @@ class TestCheckers:
         assert run_check("conjecture1", corpus, "n5", workers=1000) == expected
         assert started == [3, 2]
 
+    def test_pool_fed_in_bounded_batches(self, monkeypatch):
+        # Executor.map submits all it is handed before it yields, so a
+        # stand-in pool records how many graphs each map call receives
+        handed = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                items = list(iterable)
+                handed.append(len(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        # a claim that flags every unicyclic graph, so the report holds graphs
+        unicyclic = Claim(Density(0, 10**6), 1, 0, lambda g: g.size != g.order)
+        monkeypatch.setitem(verify.CLAIMS, "unicyclic", unicyclic)
+        graphs = list(enumerate_connected_graphs(6))
+        largest = []
+        for copies in (25, 50):
+            corpus = graphs * copies
+            handed.clear()
+            expected = run_check("unicyclic", corpus, "n6")
+            assert run_check("unicyclic", iter(corpus), "n6", workers=2) == expected
+            assert sum(handed) == len(corpus) and len(handed) > 1
+            largest.append(max(handed))
+        assert expected.scanned == 5600 and len(expected.counterexamples) == 13 * 50
+        # the batch does not grow with the corpus
+        assert largest[0] == largest[1] < 2800
+
+    def test_reports_equal_across_batches(self):
+        # more graphs than one batch, through a real two-process pool
+        corpus = list(enumerate_connected_graphs(6)) * 25
+        sequential = run_check("theorem2", corpus, "n6x25", workers=1)
+        assert run_check("theorem2", iter(corpus), "n6x25", workers=2) == sequential
+        assert sequential.scanned == 2800
+
     def test_deleting_a_prism_edge_restores_the_guarantee(self):
         # one edge below 2n-3 an independent cut must reappear
         from forestcut.graph import delete_edge
