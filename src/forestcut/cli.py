@@ -16,6 +16,7 @@ import sys
 from . import constructions, cuts, lp, planar, verify
 from .graph import (
     Graph,
+    _ascii_ints,
     _text_lines,
     iter_bits,
     parse_edge_list,
@@ -90,9 +91,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_vertices(option: str, text: str, count: int | None = None) -> tuple[int, ...]:
-    """The comma-separated vertex ids given to ``option``, ``count`` of them if set."""
+    """The comma-separated vertex ids given to ``option``, ``count`` of them if set,
+    each token one integer read as the file formats read one (``_ascii_ints``)."""
     try:
-        vertices = tuple(int(tok) for tok in text.split(","))
+        vertices = tuple(v for tok in text.split(",") for (v,) in [_ascii_ints(tok)])
     except ValueError:
         vertices = None
     if vertices is None or count not in (None, len(vertices)):

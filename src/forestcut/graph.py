@@ -8,6 +8,7 @@ for the orders this package targets (at most 128 vertices).
 from __future__ import annotations
 
 import io
+import re
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -15,6 +16,7 @@ MAX_ORDER = 128
 
 # string.whitespace, spelled out: importing string compiles a regex
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+_ASCII_TOKEN = re.compile(f"[^{_ASCII_WHITESPACE}]+")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -256,9 +258,9 @@ def _text_lines(text: str) -> list[str]:
 
 
 def _ascii_ints(line: str) -> list[int]:
-    """The whitespace-separated integers of an ASCII line: ASCII digits with
-    an optional leading '-', so int's '1_0' and '+1' are refused."""
-    tokens = line.split()
+    """The integers of an ASCII line, split at ASCII whitespace only: ASCII
+    digits with an optional leading '-', so int's '1_0' and '+1' are refused."""
+    tokens = _ASCII_TOKEN.findall(line)
     if not line.isascii() or not all(tok.removeprefix("-").isdigit() for tok in tokens):
         raise ValueError(f"non-integer token in {line!r}")
     return [int(tok) for tok in tokens]

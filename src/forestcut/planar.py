@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .graph import MAX_ORDER, Graph, _ascii_ints, _text_lines, component_neighbourhoods, vertex_set
+from .graph import MAX_ORDER, Graph, _ascii_ints, _text_lines, component_neighbourhoods, iter_bits, vertex_set
 
 Dart = tuple[int, int]
 FaceDarts = tuple[Dart, ...]
@@ -244,11 +244,14 @@ def _fan_path(
 ) -> tuple[int, Optional[list[int]], Optional[list[int]]]:
     """Apex z, the fan sequence x,u_1..u_k,y, and the chosen path positions.
 
-    The path visits strictly increasing fan positions, skips the direct x-y
-    jump, has the fewest interior vertices, and is lexicographically first
-    among those: one backward pass records each position's fewest hops to y
-    and lowest next position, and the path follows them from x.  Returns
-    (z, None, None) when z has no fan (the triangle).
+    The path is the unique shortest x-y path through strictly increasing fan
+    positions without the direct x-y jump; each step goes to the farthest
+    adjacent position.  Proof: an edge between non-consecutive fan vertices
+    is a chord of z's link cycle x u_1 .. u_k y in the one disk outside z's
+    wheel, so no two chords cross.  If g is the farthest position adjacent
+    to i, a path from i that misses g jumps from p to q with i < p < g < q
+    (p = i would beat g), and the chord pq would cross ig.  So every such
+    path contains the greedy one.  Returns (z, None, None) for the triangle.
     """
     x, y = xy
     outer = tri.outer_face
@@ -265,18 +268,14 @@ def _fan_path(
     at = rot_z.index(x)
     spun = rot_z[at:] + rot_z[:at]
     seq = [x, *(spun[1:-1] if spun[-1] == y else spun[:1:-1]), y]
-    last = len(seq) - 1
+    pos = {v: p for p, v in enumerate(seq)}
+    fan = vertex_set(seq)
     adj = tri.graph.adj
-    # step[i] = (hops to y, next position); consecutive fan vertices share a
-    # face with z, so i + 1 always qualifies
-    step = [(0, last)] * (last + 1)
-    for i in range(last - 1, -1, -1):
-        row = adj[seq[i]]
-        nexts = range(i + 1, last + 1 if i else last)  # x skips the jump to y
-        step[i] = min((step[j][0] + 1, j) for j in nexts if row >> seq[j] & 1)
     path = [0]
-    while path[-1] != last:
-        path.append(step[path[-1]][1])
+    row = adj[x] & ~(1 << y)  # x skips the jump to y
+    while path[-1] != len(seq) - 1:  # each step moves on: the next fan vertex is adjacent
+        path.append(max(pos[v] for v in iter_bits(row & fan)))
+        row = adj[seq[path[-1]]]
     return z, seq, path
 
 
@@ -286,11 +285,11 @@ def prop1_forest_cut(tri: PlaneTriangulation, xy: tuple[int, int]) -> int:
     With outer face xyz, list the neighbors of z from x to y in rotation
     order; if z has no other neighbor the cut is {z}.  Otherwise take the
     shortest strictly index-increasing x-y path Q through that fan, avoiding
-    the edge xy itself and lexicographically first on ties (``_fan_path``).  If
-    the closed cycle Q+xy has vertices strictly inside (on the side away
-    from z) the cut is V(Q); otherwise it is {z, u} for the first interior
-    fan vertex u of Q.  The inside is nonempty exactly when G - V(Q) has
-    more than one component, so one ``component_neighbourhoods`` call decides it.
+    the edge xy itself; it is unique (``_fan_path``).  If the closed cycle
+    Q+xy has vertices strictly inside (on the side away from z) the cut is
+    V(Q); otherwise it is {z, u} for the first interior fan vertex u of Q.
+    The inside is nonempty exactly when G - V(Q) has more than one
+    component, so one ``component_neighbourhoods`` call decides it.
     """
     g = tri.graph
     z, seq, path = _fan_path(tri, xy)

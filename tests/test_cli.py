@@ -176,6 +176,7 @@ class TestCheckCommand:
         ("graph6", "?\n", "graph6 order 0 not representable here"),
         ("edges", "0 0\n", "order 0 must be positive"),
         ("edges", "11 1\n0 1_0\n", "bad edge line '0 1_0'"),
+        ("edges", "3 1\n0\x1c1\n", "bad edge line '0\\x1c1'"),
     ])
     def test_input_error_exit_2(self, capsys, monkeypatch, fmt, text, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -522,6 +523,9 @@ class TestGenCommand:
             ("--clique-a", "0,x", "comma-separated integers"),
             ("--clique-a", "", "comma-separated integers"),
             ("--clique-b", "0,,2", "comma-separated integers"),
+            ("--clique-a", "0,1,\u0662", "comma-separated integers"),
+            ("--clique-b", "0,+1,2", "comma-separated integers"),
+            ("--clique-b", "0,1_0,2", "comma-separated integers"),
         ],
     )
     def test_bad_clique_names_the_option(self, capsys, option, value, want):
@@ -564,7 +568,8 @@ class TestPlanarCutCommand:
         assert is_vertex_cut(gm, vertex_set(cut))
         assert induced_is_forest(gm, vertex_set(cut))
 
-    @pytest.mark.parametrize("edge", ["x", "0", "0,1,2", "0,y", ""])
+    # int() reads '1_0' as 10, '+0' as 0 and U+0661 as 1; vertex ids are ASCII digits
+    @pytest.mark.parametrize("edge", ["x", "0", "0,1,2", "0,y", "", "0,1_0", "+0,1", "0,\u0661"])
     def test_bad_edge_names_the_option(self, capsys, tmp_path, edge):
         path = tmp_path / "octa.rot"
         path.write_text(write_rotation_system(octahedron_triangulation().embedding))
@@ -593,6 +598,7 @@ class TestPlanarCutCommand:
         ("4\n0: 1 2 3\n1: 2 0\n2: 3 0 1\n3: 0 2\n", "embedding has a non-triangular face"),
         ("", "empty rotation input"),
         ("3\n0: 1 2\n1: 2 0\n2: 0 0_1\n", "bad rotation line '2: 0 0_1'"),
+        ("3\n0: 1\x1f2\n1: 2 0\n2: 0 1\n", "bad rotation line '0: 1\\x1f2'"),
     ])
     def test_rotation_input_error_exit_2(self, capsys, monkeypatch, text, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))

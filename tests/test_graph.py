@@ -217,9 +217,11 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match="^bad edge line '1 x'$"):
             parse_edge_list("2 1\n1 x\n")
 
-    @pytest.mark.parametrize("line", ["0 1_0", "0 +1", "+0 1", "0 --1", "0 -", "0 \u0661"])
+    @pytest.mark.parametrize("line", ["0 1_0", "0 +1", "+0 1", "0 --1", "0 -", "0 \u0661",
+                                      "0\x1c1", "0\x1d1", "0\x1e1", "0\x1f1"])
     def test_only_digit_tokens_are_vertices(self, line):
-        # int() reads '1_0' as 10, '+1' as 1 and Arabic-Indic digits; the format does not
+        # int() reads '1_0' as 10, '+1' as 1 and Arabic-Indic digits, and str.split()
+        # splits at 0x1c..0x1f; the format does neither
         with pytest.raises(ValueError, match=f"^bad edge line {re.escape(repr(line))}$"):
             parse_edge_list(f"11 1\n{line}\n")
 

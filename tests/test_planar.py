@@ -291,21 +291,17 @@ class TestProp1ForestCut:
                 if seq is None:
                     continue
                 last = len(seq) - 1
-                best = None
+                shortest = []
                 for size in range(1, last):
-                    for mids in combinations(range(1, last), size):
-                        nodes = [0, *mids, last]
-                        if all(
-                            g.has_edge(seq[a], seq[b])
-                            for a, b in zip(nodes, nodes[1:])
-                        ):
-                            best = nodes
-                            break
-                    if best:
+                    shortest = [
+                        nodes
+                        for mids in combinations(range(1, last), size)
+                        for nodes in [[0, *mids, last]]
+                        if all(g.has_edge(seq[a], seq[b]) for a, b in zip(nodes, nodes[1:]))
+                    ]
+                    if shortest:
                         break
-                assert best is not None
-                assert len(path) == len(best)
-                assert path == best  # lexicographically first among shortest
+                assert shortest == [path]  # the one shortest increasing path
 
 
 class TestProp1NetworkxOracle:
@@ -334,6 +330,62 @@ class TestProp1NetworkxOracle:
                         else:
                             assert cut == 1 << z | 1 << q_verts[1]
         assert (graphs, cases) == (20, 1272)
+
+
+def backward_fan_path(tri, xy):
+    """Reference for ``_fan_path``: its earlier backward pass over a step
+    table holding, for each fan position, its fewest hops to y and the lowest
+    next position that achieves them; the path follows the table from x."""
+    x, y = xy
+    z = next(v for v in tri.outer_face if v not in (x, y))
+    rot_z = tri.embedding.rot[z]
+    if len(rot_z) == 2:
+        return z, None, None
+    at = rot_z.index(x)
+    spun = rot_z[at:] + rot_z[:at]
+    seq = [x, *(spun[1:-1] if spun[-1] == y else spun[:1:-1]), y]
+    last = len(seq) - 1
+    adj = tri.graph.adj
+    step = [(0, last)] * (last + 1)
+    for i in range(last - 1, -1, -1):
+        row = adj[seq[i]]
+        nexts = range(i + 1, last + 1 if i else last)  # x skips the jump to y
+        step[i] = min((step[j][0] + 1, j) for j in nexts if row >> seq[j] & 1)
+    path = [0]
+    while path[-1] != last:
+        path.append(step[path[-1]][1])
+    return z, seq, path
+
+
+def assert_fan_paths_match_backward_pass(system):
+    """Compare on every face, edge and orientation; return the count."""
+    count = 0
+    for face in faces(system):
+        tri = PlaneTriangulation(system, face)
+        for x, y in zip(face, face[1:] + face[:1]):
+            for xy in ((x, y), (y, x)):
+                assert _fan_path(tri, xy) == backward_fan_path(tri, xy)
+                count += 1
+    return count
+
+
+class TestFanPathMatchesBackwardPass:
+    def test_stacked_triangulations(self):
+        counts = [
+            assert_fan_paths_match_backward_pass(random_stacked_triangulation(n, 500 + n).embedding)
+            for n in range(4, 41)
+        ]
+        # 2n - 4 faces, 3 edges each, 2 orientations: 8,880 fan paths
+        assert counts == [12 * n - 24 for n in range(4, 41)]
+
+    def test_networkx_triangulations(self):
+        nx = pytest.importorskip("networkx")
+        orders = range(8, 24)
+        counts = [
+            assert_fan_paths_match_backward_pass(networkx_triangulation(nx, n, 600 + n))
+            for n in orders
+        ]
+        assert counts == [12 * n - 24 for n in orders]  # 2,592 fan paths
 
 
 class TestNoForestCutInTriangulations:
@@ -367,9 +419,10 @@ class TestRotationFiles:
         with pytest.raises(ValueError, match=f"^bad rotation line {re.escape(repr(line))}$"):
             parse_rotation_system(f"2\n{line}\n1: 0\n")
 
-    @pytest.mark.parametrize("line", ["0: 0_1", "0: +1", "+0: 1", "0: 1 -", "0: --1"])
+    @pytest.mark.parametrize("line", ["0: 0_1", "0: +1", "+0: 1", "0: 1 -", "0: --1", "0: 1\x1f"])
     def test_only_digit_tokens_are_vertices(self, line):
-        # int() reads '0_1' as 1 and '+1' as 1; the format does not
+        # int() reads '0_1' as 1 and '+1' as 1, and str.split() splits at 0x1f;
+        # the format does neither
         with pytest.raises(ValueError, match=f"^bad rotation line {re.escape(repr(line))}$"):
             parse_rotation_system(f"2\n{line}\n1: 0\n")
 
