@@ -14,12 +14,12 @@ that once, on entry (``_require_connected``), and then trusts it: the walk
 every seed comes from a component of G - N[v] = empty, so the finders
 return None for K_n without a test of their own.
 
-The walk tests each set as it finds it and hands the finders the
-components its test computed, so a finder that stops at its first hit
-computes nothing after it.  Each set S is the neighbourhood of a component
-C of G - X for an excluded set X that holds S, so C is already a full
-component of G - S (it misses S and has no neighbour outside it), and the
-test searches only G - S - C.
+The walk searches G - X once for each distinct excluded set X and reads
+from that one search both the new sets and whether each is a minimal cut,
+with the components of G - S; it searches nothing else.  It tests each set
+as it finds it, so a finder that stops at its first hit computes nothing
+after it, and a graph with no forest cut costs one search per distinct
+excluded set.
 """
 
 from __future__ import annotations
@@ -109,31 +109,55 @@ def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
     once, with the components of G - S.
 
     Close-neighbourhood expansion (Berry, Bordat and Cogis, IJFCS 11, 2000):
-    the sets S are the neighbourhoods of the components of G - N[v] for each
-    v, then of G - (S u N(x)) for each S in discovery order and x in S.  S is
-    a minimal cut when G - S has two or more components and each sees all of
-    S.  The component C of G - X (X = N[v] or S' u N(x)) that gives S = N(C)
-    is already one of them: S lies in X, so C misses S, and C has no
-    neighbour outside S.  So only G - S - C is searched again, and C is
-    merged back by its lowest vertex.  Each set is tested where it is found;
-    a FIFO pops in discovery order, so the stream is the one a walk testing
-    each set as it leaves the queue would give.
+    the minimal separators are the neighbourhoods N_i = N(C_i) of the
+    components C_i of G - X, for X = N[v] for each v, then X = S' u N(x) for
+    each separator S' in discovery order and x in S'.  S is a minimal cut
+    when every component of G - S sees all of S.  A repeated X gives only
+    separators already seen, so each distinct X is searched once; the sets
+    searched are kept apart from the separators, as an X can equal one.
+
+    The search of G - X also decides minimality.  The components of G - N_i
+    are C_i, each C_j with N_j a subset of N_i, and one more, D: the rest,
+    which holds v (or x) and sees all of N_i.
+    - X = N[v]: v misses C_i, so N_i lies in N(v).  X - N_i is v and some of
+      its neighbours, and v sees all of N_i.
+    - X = S' u N(x): x misses C_i, so x is not in N_i, and each vertex of
+      N(x) - N_i is adjacent to x.  C_i lies in a component A of G - S', so
+      N_i lies in A u S'.  G - S' has a full component B other than A; B
+      misses N_i and sees all of S', x included.  So S' - N_i reaches x
+      through B, and each vertex of N_i is adjacent to x or to B.
+    - Each C_j with N_j not a subset of N_i touches X - N_i, so lies in D.
+    C_i and D are full, so each N_i is a minimal separator, as the second
+    case needs of S'.  N_i is a minimal cut exactly when no N_j is a proper
+    subset of it, and then the components of G - N_i are the C_j with
+    N_j = N_i, and D.  Each set is tested where it is found; a FIFO pops in
+    discovery order, so the stream is the one a walk testing each set as it
+    leaves the queue would give.
     """
     adj = g.adj
     full = g.vertex_mask
     seen: set[int] = set()
+    searched: set[int] = set()
     found: list[int] = []  # the FIFO: a list iterated while it grows
     closed = (adj[v] | 1 << v for v in range(g.order))
     expanded = (s | adj[x] for s in found for x in iter_bits(s))
     for excluded in chain(closed, expanded):
-        for comp, s in component_neighbourhoods(adj, full & ~excluded):
+        if excluded in searched:
+            continue
+        searched.add(excluded)
+        comps = component_neighbourhoods(adj, full & ~excluded)
+        for _, s in comps:
             if s in seen:
                 continue
             seen.add(s)
             found.append(s)
-            rest = component_neighbourhoods(adj, full & ~s & ~comp)
-            if rest and all(nbr == s for _, nbr in rest):
-                yield s, sorted([comp, *(c for c, _ in rest)], key=lambda c: c & -c)
+            if any(nbr != s and nbr | s == s for _, nbr in comps):
+                continue
+            full_comps = [c for c, nbr in comps if nbr == s]
+            d = full & ~s
+            for c in full_comps:
+                d &= ~c
+            yield s, sorted([*full_comps, d], key=lambda c: c & -c)
 
 
 def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
@@ -177,9 +201,10 @@ def find_forest_cut(g: Graph) -> Optional[CutWitness]:
     The first inclusion-minimal cut inducing a forest wins; a complete graph
     gives None.  A graph with a universal vertex u takes no separate path:
     every vertex cut contains u, and the walk meets the cuts {u} + S in the
-    order a walk of G - u meets its cuts S.  No order cap, but the number of
-    minimal separators is exponential in the worst case; intended for the
-    sparse instances this package targets.
+    order a walk of G - u meets its cuts S.  A graph with no forest cut costs
+    one component search per distinct excluded set of the walk.  No order
+    cap, but the number of minimal separators is exponential in the worst
+    case; intended for the sparse instances this package targets.
     """
     _require_connected(g)
     return _first_cut(g, lambda s: induced_is_forest(g, s), FOREST)

@@ -1,11 +1,12 @@
 import hashlib
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
 from conftest import components
+from forestcut import cuts
 from forestcut.constructions import (
     FIXTURE_NAMES,
     GlueSpec,
@@ -29,6 +30,8 @@ from forestcut.cuts import (
 )
 from forestcut.graph import (
     build_graph,
+    component_neighbourhoods,
+    delete_edge,
     induced_is_forest,
     is_complete,
     is_connected,
@@ -38,6 +41,7 @@ from forestcut.graph import (
     vertex_set,
     write_graph6,
 )
+from forestcut.planar import random_stacked_triangulation
 from forestcut.verify import enumerate_connected_graphs
 
 # sha256 over every connected, non-complete graph of order <= 7 and the nine
@@ -238,6 +242,76 @@ class TestMinimalSeparators:
                         assert len(components(g, rest)) == 1
 
 
+def two_search_walk(g):
+    """Reference for ``_minimal_separators``: its earlier walk, which searched
+    G - X for every excluded set X it generated, repeats included, and
+    G - S - C for every new set S, found from the component C, to test S
+    for minimality."""
+    adj = g.adj
+    full = g.vertex_mask
+    seen = set()
+    found = []
+    closed = (adj[v] | 1 << v for v in range(g.order))
+    expanded = (s | adj[x] for s in found for x in iter_bits(s))
+    for excluded in chain(closed, expanded):
+        for comp, s in component_neighbourhoods(adj, full & ~excluded):
+            if s in seen:
+                continue
+            seen.add(s)
+            found.append(s)
+            rest = component_neighbourhoods(adj, full & ~s & ~comp)
+            if rest and all(nbr == s for _, nbr in rest):
+                yield s, sorted([comp, *(c for c, _ in rest)], key=lambda c: c & -c)
+
+
+def assert_walk_matches_two_search_walk(g):
+    assert list(_minimal_separators(g)) == list(two_search_walk(g))
+
+
+class TestWalkMatchesTwoSearchWalk:
+    def test_pinned_graphs(self):
+        for g in pinned_graphs():
+            assert_walk_matches_two_search_walk(g)
+
+    def test_stacked_triangulations(self):
+        # a triangulation has no forest cut; minus an outer edge it has one
+        for n in range(40, 101, 20):
+            for seed in range(3):
+                tri = random_stacked_triangulation(n, seed)
+                x, y = tri.outer_face[:2]
+                assert_walk_matches_two_search_walk(tri.graph)
+                assert_walk_matches_two_search_walk(delete_edge(tri.graph, x, y))
+
+    def test_families(self):
+        graphs = [conjecture2_family(k) for k in range(5, 16)]
+        graphs += [k3_band_cycle(n, c) for n, c in ((8, 4), (12, 3), (30, 5), (40, 36))]
+        graphs += [cycle_diagonals_universal(k) for k in range(3, 9)]
+        for g in graphs:
+            assert_walk_matches_two_search_walk(g)
+
+    def test_hypothesis_graphs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def connected_graphs(draw):
+            """A spanning tree on 3..20 vertices, each vertex hung from an
+            earlier one, plus up to 2n more edges."""
+            n = draw(st.integers(3, 20))
+            tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
+            extra = draw(st.lists(pairs.map(lambda e: (e[0], e[1] + (e[1] >= e[0]))),
+                                  max_size=2 * n))
+            return build_graph(n, tree + extra)
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(connected_graphs())
+        def check(g):
+            assert_walk_matches_two_search_walk(g)
+
+        check()
+
+
 class TestFindForestCut:
     def test_band_cycle_small_side(self):
         g = k3_band_cycle(8, 4)
@@ -275,29 +349,51 @@ class TestFindForestCut:
         assert calls == {"is_connected": 1}
 
     @pytest.mark.parametrize("g, cut, most", [
-        (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 41),
-        (grid(6, 6), vertex_set([1, 6]), 73),
-        (k3_band_cycle(30, 5), vertex_set([0, 1, 2]), 172),
+        (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 40),
+        (grid(6, 6), vertex_set([1, 6]), 72),
+        (k3_band_cycle(30, 5), vertex_set([0, 1, 2]), 121),
     ], ids=["c20", "grid6x6", "band30_5"])
     def test_first_hit_reads_only_the_seeds_before_it(self, g, cut, most):
         # the budget counts every adjacency row read: the precondition's,
-        # the walk's and induced_is_forest's.  The walk searches only
-        # G - S - C for the component C that found S, and the witness reuses
-        # the components of that search.  A walk that searches C again reads
-        # 58, 106 and 176 rows; one that also takes N(C) from a second pass
-        # over C reads 93, 173 and 219.
+        # the walk's and induced_is_forest's.  The walk searches G - X once
+        # for each distinct excluded set X, and reads both minimality and
+        # the witness's components from that search.  A walk that also
+        # searches G - S - C for each new S reads 41, 73 and 172 rows; one
+        # that searches G - S whole, 58, 106 and 176; one that also takes
+        # N(C) from a second pass over C, 93, 173 and 219.
         found = []
         assert rows_read(lambda: found.append(find_forest_cut(g)), g) <= most
         assert found[0].cut == cut
 
     def test_full_walk_reads_each_component_once(self):
         # G_11 has 37 vertices and 264 minimal separators, 252 of them
-        # forests.  Searching C again reads 28,946 rows; a second pass over
-        # each component for its neighbourhood, 55,478.
+        # forests.  A walk that also searches G - S - C for each new S reads
+        # 22,286 rows; one that searches G - S whole, 28,946; one that also
+        # makes a second pass over each component for its neighbourhood,
+        # 55,478.
         g = conjecture2_family(11)
         found = []
-        assert rows_read(lambda: found.append(all_minimal_forest_cuts(g)), g) <= 22286
+        assert rows_read(lambda: found.append(all_minimal_forest_cuts(g)), g) <= 18830
         assert len(found[0]) == 252
+
+    def test_no_cut_walk_searches_each_excluded_set_once(self, monkeypatch):
+        # every expansion S u N(x) of a separating triangle S of a stacked
+        # triangulation is the closed neighbourhood N[x], so the walk
+        # generates 148 excluded sets and only 40 distinct ones.  Searching
+        # each one it generates, and G - S - C for each new S, makes 184
+        # searches and reads 5,884 rows.
+        g = random_stacked_triangulation(40, 0).graph
+        searched = []
+
+        def component_search(adj, sub):
+            searched.append(sub)
+            return component_neighbourhoods(adj, sub)
+
+        monkeypatch.setattr(cuts, "component_neighbourhoods", component_search)
+        found = []
+        assert rows_read(lambda: found.append(find_forest_cut(g)), g) <= 1628
+        assert found == [None]
+        assert len(searched) == len(set(searched)) == 40
 
     def test_runs_beyond_the_exhaustive_cap(self):
         g = k3_band_cycle(30, 5)
