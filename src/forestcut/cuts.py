@@ -10,9 +10,10 @@ witness exists.
 Every finder asks for a connected graph of order at least 3, because the
 empty set already separates a disconnected graph.  Each public query checks
 that once, on entry (``_require_connected``), and then trusts it: the walk
-``_minimal_separators`` checks nothing.  On K_n the walk yields nothing, as
-every seed comes from a component of G - N[v] = empty, so the finders
-return None for K_n without a test of their own.
+``_minimal_separators`` checks nothing, and the claims in ``verify`` walk it
+after their own filters have established both conditions.  On K_n the walk
+yields nothing, as every seed comes from a component of G - N[v] = empty,
+so the finders return None for K_n without a test of their own.
 
 The walk searches G - X once for each distinct excluded set X and reads
 from that one search both the new sets and whether each is a minimal cut,

@@ -18,6 +18,9 @@ MAX_ORDER = 128
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 _ASCII_TOKEN = re.compile(f"[^{_ASCII_WHITESPACE}]+")
 
+# graph6 data byte -> its six bits, most significant first
+_SIX_BITS = {byte: format(byte - 63, "06b") for byte in range(63, 127)}
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
@@ -88,7 +91,7 @@ class Graph:
     @property
     def size(self) -> int:
         """Number of edges."""
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     @property
     def vertex_mask(self) -> int:
@@ -175,25 +178,28 @@ def parse_graph6(text: str) -> Graph:
         body = line[1:]
     if n < 1:
         raise ValueError("graph6 order 0 not representable here")
-    npairs = n * (n - 1) // 2
-    want = (npairs + 5) // 6
+    want = (n * (n - 1) // 2 + 5) // 6
     if len(body) != want:
         raise ValueError(f"expected {want} data bytes, got {len(body)}")
-    # read the bits in the order write_graph6 writes them: column j, then row i < j
+    bits = body.translate(_SIX_BITS)
+    if len(bits) != 6 * want:  # a byte outside the table stays one character
+        bad = next(ch for ch in body if ord(ch) not in _SIX_BITS)
+        raise ValueError(f"data byte {ord(bad)} outside 63..126")
+    # The bits run column j = 1, 2, ..., each holding rows i < j.  Reversed,
+    # they read as one int whose bit j(j-1)/2 + i is the pair (i, j), so each
+    # column is the low j bits of what the earlier columns leave.
+    word = int(bits[::-1] or "0", 2)
     adj = [0] * n
-    chars = iter(body)
-    val = nbits = 0
     for j in range(1, n):
-        for i in range(j):
-            if not nbits:
-                val = ord(next(chars)) - 63
-                if not 0 <= val < 64:
-                    raise ValueError(f"data byte {val + 63} outside 63..126")
-                nbits = 6
-            nbits -= 1
-            if val >> nbits & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        col = word & ((1 << j) - 1)
+        word >>= j
+        if col:
+            adj[j] = col  # the columns after j add only bits above j
+            bit = 1 << j
+            while col:
+                low = col & -col
+                adj[low.bit_length() - 1] |= bit
+                col ^= low
     return Graph._trusted(n, adj)
 
 

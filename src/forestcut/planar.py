@@ -117,12 +117,22 @@ def _match_face(face_list: Iterable[FaceDarts], triple: Sequence[int]) -> Option
     if len(triple) != 3:
         return None
     want = set(triple)
-    return next((f for f in face_list if {d[0] for d in f} == want), None)
+    return next((f for f in face_list if f[0][0] in want and {d[0] for d in f} == want), None)
 
 
 def reroot(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
-    """Re-designate the outer face; on the sphere any face qualifies."""
-    return PlaneTriangulation(tri.embedding, tuple(face))
+    """Re-designate the outer face; on the sphere any face qualifies.
+
+    ``tri`` was checked when it was built, so only the new face is: it must
+    be a traced face.
+    """
+    face = tuple(face)
+    if _match_face(tri.embedding._faces, face) is None:
+        raise ValueError(f"{face} is not a face of the embedding")
+    rooted = object.__new__(PlaneTriangulation)
+    object.__setattr__(rooted, "embedding", tri.embedding)
+    object.__setattr__(rooted, "outer_face", face)
+    return rooted
 
 
 def face_containing_edge(system: RotationSystem, u: int, v: int) -> tuple[int, ...]:

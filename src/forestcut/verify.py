@@ -22,13 +22,14 @@ from functools import lru_cache, partial
 from itertools import chain, islice, pairwise
 from typing import Callable, Iterable, Iterator
 
-from .cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
+from .cuts import _minimal_separators
 from .graph import (
     Graph,
     _ASCII_WHITESPACE,
     degree_sum,
     induced_is_forest,
     is_connected,
+    is_independent_set,
     iter_bits,
     parse_graph6,
     read_lines,
@@ -321,7 +322,9 @@ class Claim:
 
     Every row asks for at least connectivity 1.  A disconnected graph is
     scanned but never flagged, because the empty set separates it and is both
-    independent and a forest.
+    independent and a forest.  ``flags`` calls ``holds`` only on a connected
+    graph of order at least ``min_order`` >= 3, so ``holds`` walks the
+    separators without the finders' own entry check.
     """
 
     density: Density
@@ -337,18 +340,40 @@ class Claim:
         )
 
 
+def _has_forest_cut(g: Graph) -> bool:
+    return any(induced_is_forest(g, s) for s, _ in _minimal_separators(g))
+
+
+def _has_independent_cut(g: Graph) -> bool:
+    return any(is_independent_set(g, s) for s, _ in _minimal_separators(g))
+
+
+def _every_vertex_avoidable(g: Graph) -> bool:
+    """True when each vertex u misses some independent cut, in one walk.
+
+    An independent cut avoiding u shrinks to a minimal one, so this holds
+    exactly when the independent minimal separators have an empty
+    intersection.  The walk stops where that intersection first empties,
+    the latest of the points where a walk per vertex would stop.
+    """
+    common = g.vertex_mask
+    for s, _ in _minimal_separators(g):
+        if is_independent_set(g, s):
+            common &= s
+            if not common:
+                return True
+    return False
+
+
 CLAIMS: dict[str, Claim] = {
     # Graphs with m < 3n-6 and no forest cut.
-    "conjecture1": Claim(Density(3, -6), 3, 1, lambda g: find_forest_cut(g) is not None),
+    "conjecture1": Claim(Density(3, -6), 3, 1, _has_forest_cut),
     # Graphs with m < 11n/5 - 18/5 and no forest cut (must stay empty).
-    "theorem2": Claim(Density(11, -18, 5), 3, 1, lambda g: find_forest_cut(g) is not None),
+    "theorem2": Claim(Density(11, -18, 5), 3, 1, _has_forest_cut),
     # Graphs with m < 2n-3 and no independent cut (must stay empty).
-    "chenyu": Claim(Density(2, -3), 3, 1, lambda g: find_independent_cut(g) is not None),
+    "chenyu": Claim(Density(2, -3), 3, 1, _has_independent_cut),
     # 2-connected graphs with m < 2n-3 where some vertex cannot be avoided.
-    "theorem1": Claim(
-        Density(2, -3), 3, 2,
-        lambda g: all(find_independent_cut_avoiding(g, u) is not None for u in range(g.order)),
-    ),
+    "theorem1": Claim(Density(2, -3), 3, 2, _every_vertex_avoidable),
     # 3-connected, cyclic-neighborhood graphs with m < 7(n-1)/3.
     # The density target 7(n-1)/3 exceeds 3n-6 below order 6, where
     # near-complete graphs fall under it for free; the sweep starts at 6.

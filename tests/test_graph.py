@@ -1,7 +1,10 @@
 import copy
+import importlib.util
 import pickle
+import random
 import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from conftest import assert_validated, components
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.graph import (
     Graph,
+    _ASCII_WHITESPACE,
+    _long_form_order,
     build_graph,
     degree_sum,
     delete_edge,
@@ -149,6 +154,118 @@ class TestGraph6:
         for name in ("k4", "k33", "prism", "octahedron", "icosahedron", "wheel5"):
             g = fixture(name)
             assert parse_graph6(write_graph6(g)) == g
+
+
+def bitwise_parse_graph6(text: str) -> Graph:
+    """Reference for ``parse_graph6``: its earlier decode, one vertex pair at
+    a time, with the same checks and messages."""
+    line = text.strip(_ASCII_WHITESPACE)
+    if not line:
+        raise ValueError("empty graph6 line")
+    head = ord(line[0])
+    if head == 126:
+        n = _long_form_order(line[1:4])
+        body = line[4:]
+    else:
+        if not 63 <= head < 126:
+            raise ValueError(f"bad order byte {head}")
+        n = head - 63
+        body = line[1:]
+    if n < 1:
+        raise ValueError("graph6 order 0 not representable here")
+    npairs = n * (n - 1) // 2
+    want = (npairs + 5) // 6
+    if len(body) != want:
+        raise ValueError(f"expected {want} data bytes, got {len(body)}")
+    adj = [0] * n
+    chars = iter(body)
+    val = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            if not nbits:
+                val = ord(next(chars)) - 63
+                if not 0 <= val < 64:
+                    raise ValueError(f"data byte {val + 63} outside 63..126")
+                nbits = 6
+            nbits -= 1
+            if val >> nbits & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, adj)
+
+
+def perfbench_corpus_lines(seed: int) -> list[str]:
+    """The graph6 lines of the benchmark's corpus-sweep input for ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.corpus_lines(seed)
+
+
+def random_graph6_lines(seed: int) -> list[str]:
+    """For each order 1..128, a graph of seeded density, written by
+    write_graph6, and a body of seeded bytes with its padding bits set."""
+    rng = random.Random(seed)
+    lines = []
+    for n in range(1, 129):
+        p = rng.random()
+        pairs = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
+        line = write_graph6(build_graph(n, pairs))
+        head = line[:4] if n > 62 else line[:1]
+        body = "".join(chr(rng.randrange(63, 127)) for _ in line[len(head):])
+        lines += [line, head + body]
+    return lines
+
+
+def parse_outcome(parse, line: str):
+    try:
+        return parse(line)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestColumnwiseDecode:
+    """parse_graph6 reads a column of the adjacency matrix at a time; it
+    must decode and refuse every line exactly as the pair-at-a-time loop."""
+
+    def test_every_graph_up_to_order_7(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                line = write_graph6(g)
+                assert parse_graph6(line) == bitwise_parse_graph6(line) == g
+
+    def test_perfbench_corpus(self):
+        lines = perfbench_corpus_lines(7)
+        assert len(lines) == 4000
+        for line in lines:
+            assert parse_graph6(line) == bitwise_parse_graph6(line)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_graphs_of_orders_1_to_128(self, seed):
+        lines = random_graph6_lines(seed)
+        assert any(line[0] == "~" for line in lines)  # the long form is covered
+        assert "@" in lines  # n = 1 has an empty body
+        for line in lines:
+            assert_validated(parse_graph6(line))
+            assert parse_graph6(line) == bitwise_parse_graph6(line)
+
+    @pytest.mark.parametrize("line", [
+        "Bw", "C~", "DQc", "G?B@`_", "IhC?GC@?G",
+        write_graph6(random_stacked_triangulation(20, 3).graph),
+        write_graph6(random_stacked_triangulation(70, 3).graph),
+    ])
+    def test_bad_byte_messages_match_the_reference(self, line):
+        for at in range(len(line)):
+            for bad in ("\x00", "!", "\x7f", "\xe9", "\u3000"):
+                spoilt = line[:at] + bad + line[at + 1:]
+                got = parse_outcome(parse_graph6, spoilt)
+                assert isinstance(got, str)
+                assert got == parse_outcome(bitwise_parse_graph6, spoilt)
+
+    def test_first_bad_byte_is_named(self):
+        with pytest.raises(ValueError, match="data byte 127 outside 63..126"):
+            parse_graph6("G?\x7f?!?")
 
 
 class TestTrustedConstruction:

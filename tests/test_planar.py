@@ -461,4 +461,12 @@ class TestReroot:
         )
         with pytest.raises(ValueError, match=re.escape(f"{missing} is not a face of the embedding")) as exc:
             reroot(t, missing)
-        assert exc.traceback[-1].name == "__post_init__"
+        # the triangulation was checked when built; reroot checks only the face
+        assert exc.traceback[-1].name == "reroot"
+
+    def test_checks_only_the_new_face(self, monkeypatch):
+        t = random_stacked_triangulation(30, 4)
+        expected = [PlaneTriangulation(t.embedding, f) for f in faces(t.embedding)]
+        monkeypatch.setattr(PlaneTriangulation, "__post_init__",
+                            lambda self: pytest.fail("reroot checked the whole embedding"))
+        assert [reroot(t, f) for f in faces(t.embedding)] == expected

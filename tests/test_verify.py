@@ -9,10 +9,12 @@ import pytest
 from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, components, symmetric_graphs
 from forestcut import verify
 from forestcut.constructions import conjecture2_family, fixture
-from forestcut.cuts import find_forest_cut, find_independent_cut
+from forestcut import cuts
+from forestcut.cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
 from forestcut.graph import (
     Graph,
     build_graph,
+    induced_is_forest,
     is_connected,
     iter_bits,
     parse_graph6,
@@ -35,6 +37,7 @@ from forestcut.verify import (
     figure1_census,
     ingest_graph6,
     run_check,
+    sparse_k_connected,
 )
 
 # counts of graphs and connected graphs per order, rederived below by a
@@ -497,6 +500,75 @@ class TestCheckers:
         assert report.counterexamples == ORDER8_CONJECTURE2_CANONICAL
         pinned = sorted(canonical_graph6(parse_graph6(s)) for s in ORDER8_CONJECTURE2_FLAGS)
         assert list(report.counterexamples) == pinned
+
+
+def public_finder_flags(name: str, g: Graph) -> bool:
+    """Whether claim ``name`` flags g, with each condition read from the
+    public finders, which check connectivity again on entry."""
+    claim = CLAIMS[name]
+    if g.order < claim.min_order or not sparse_k_connected(g, claim.density, claim.min_connectivity):
+        return False
+    if name in ("conjecture1", "theorem2"):
+        return find_forest_cut(g) is None
+    if name == "chenyu":
+        return find_independent_cut(g) is None
+    if name == "theorem1":
+        return any(find_independent_cut_avoiding(g, u) is None for u in range(g.order))
+    return not any(induced_is_forest(g, g.adj[v]) for v in range(g.order))
+
+
+def mixed_corpus() -> list[Graph]:
+    """Every graph of order 1..6, connected or not, the pinned order-8
+    conjecture2 graphs, and seeded graphs of orders 7..14 around m = 2n."""
+    rng = random.Random(23)
+    corpus = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    corpus += [parse_graph6(s) for s in ORDER8_CONJECTURE2_FLAGS]
+    for _ in range(300):
+        n = rng.randint(7, 14)
+        pairs = list(combinations(range(n), 2))
+        corpus.append(build_graph(n, rng.sample(pairs, rng.randint(n - 3, 3 * n))))
+    return corpus
+
+
+class TestTrustingClaimPath:
+    """The claims walk the separators without the finders' entry check,
+    which ``Claim.flags`` has made redundant; the reports must not change."""
+
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
+    def test_reports_match_the_public_finders(self, claim):
+        corpus = mixed_corpus()
+        assert any(not is_connected(g) for g in corpus)
+        assert {1, 2} <= {g.order for g in corpus}
+        flagged = sorted(canonical_graph6(g) for g in corpus if public_finder_flags(claim, g))
+        report = run_check(claim, corpus, "mixed")
+        assert report == verify.CheckReport(claim, "mixed", len(corpus), tuple(flagged))
+
+    def test_theorem1_walks_no_more_than_a_walk_per_vertex(self, monkeypatch):
+        walked = [0]
+        walk = cuts._minimal_separators
+
+        def counted(g):
+            for item in walk(g):
+                walked[0] += 1
+                yield item
+
+        monkeypatch.setattr(cuts, "_minimal_separators", counted)
+        monkeypatch.setattr(verify, "_minimal_separators", counted)
+        theorem1 = CLAIMS["theorem1"]
+        checked = 0
+        for g in mixed_corpus():
+            if g.order < 3 or not sparse_k_connected(g, theorem1.density, 2):
+                continue
+            per_vertex = []
+            for u in range(g.order):
+                walked[0] = 0
+                find_independent_cut_avoiding(g, u)
+                per_vertex.append(walked[0])
+            walked[0] = 0
+            assert theorem1.holds(g)
+            assert walked[0] == max(per_vertex)
+            checked += 1
+        assert checked > 20
 
 
 # the claims' densities as the Fraction formulas they are stated with
