@@ -7,13 +7,13 @@ forest-inducing (or independent) set again induces a forest (is
 independent), so an inclusion-minimal cut witnesses existence whenever any
 witness exists.
 
-Every finder asks for a connected graph of order at least 3, because the
-empty set already separates a disconnected graph.  Each public query checks
-that once, on entry (``_require_connected``), and then trusts it: the walk
-``_minimal_separators`` checks nothing, and the claims in ``verify`` walk it
-after their own filters have established both conditions.  On K_n the walk
-yields nothing, as every seed comes from a component of G - N[v] = empty,
-so the finders return None for K_n without a test of their own.
+Every public query asks, on entry, for a connected graph of order at least
+3 (``_require_connected``), because the empty set already separates a
+disconnected graph, and then trusts it: the walk ``_minimal_separators``
+checks nothing, and the claims in ``verify`` walk it after their own filters
+have established both conditions.  On K_n the walk yields nothing, as every
+G - N[v] is empty, so every query gives an empty result for K_n without a
+test of its own.
 
 The walk searches G - X once for each distinct excluded set X and reads
 from that one search both the new sets and whether each is a minimal cut,
@@ -34,7 +34,6 @@ from .graph import (
     component_neighbourhoods,
     induced_is_forest,
     induced_subgraph,
-    is_complete,
     is_connected,
     is_independent_set,
     is_vertex_cut,
@@ -80,8 +79,8 @@ def _make_witness(cut: int, comps: list[int], kind: str) -> CutWitness:
     return CutWitness(cut, rep_a, rep_b, kind)
 
 
-def _require_connected(g: Graph, minimum_order: int = 3) -> None:
-    if g.order < minimum_order:
+def _require_connected(g: Graph) -> None:
+    if g.order < 3:
         raise ValueError(f"graph of order {g.order} has no vertex cut to look for")
     if not is_connected(g):
         raise ValueError(
@@ -162,11 +161,9 @@ def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
 
 
 def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
-    """Every inclusion-minimal vertex cut of a connected, non-complete graph,
-    once each, in the order ``_minimal_separators`` walks them."""
-    _require_connected(g, minimum_order=1)
-    if is_complete(g):
-        raise ValueError("complete graphs have no separator")
+    """Every inclusion-minimal vertex cut of a connected graph, once each, in
+    the order ``_minimal_separators`` walks them; K_n has none."""
+    _require_connected(g)
     for s, _ in _minimal_separators(g):
         yield s
 
@@ -225,10 +222,9 @@ def find_independent_cut_avoiding(g: Graph, u: int) -> Optional[CutWitness]:
 
 
 def all_minimal_forest_cuts(g: Graph) -> list[int]:
-    """Every inclusion-minimal vertex cut inducing a forest, sorted by size then bits."""
-    _require_connected(g, minimum_order=2)
-    if is_complete(g):
-        raise ValueError("complete graphs have no vertex cut")
+    """Every inclusion-minimal vertex cut inducing a forest, sorted by size
+    then bits; [] for K_n, which has no vertex cut."""
+    _require_connected(g)
     cuts = [s for s, _ in _minimal_separators(g) if induced_is_forest(g, s)]
     cuts.sort(key=lambda s: (s.bit_count(), s))
     return cuts

@@ -399,15 +399,6 @@ def masks_of_size(n: int, k: int) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# degree bookkeeping
-
-
-def degree_sum(g: Graph, s: int) -> int:
-    """Sum of degrees over the vertex set ``s``."""
-    return sum(g.degree(v) for v in iter_bits(s))
-
-
-# ---------------------------------------------------------------------------
 # derived graphs
 
 

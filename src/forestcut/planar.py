@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -23,29 +23,27 @@ FaceDarts = tuple[Dart, ...]
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """A graph together with a cyclic neighbor order at every vertex."""
+    """A cyclic neighbor order at every vertex; ``graph`` joins each vertex to its row.
 
-    graph: Graph
+    ``Graph`` checks that the rows are in range, loop-free and symmetric, so
+    the one check here is that no row repeats a neighbor."""
+
     rot: tuple[tuple[int, ...], ...]
+    graph: Graph = field(init=False, compare=False)
 
     def __post_init__(self):
-        g = self.graph
-        if len(self.rot) != g.order:
-            raise ValueError("rotation table must have one row per vertex")
-        for v, row in enumerate(self.rot):
-            if vertex_set(row) != g.adj[v] or len(row) != g.degree(v):
+        rot = tuple(tuple(row) for row in self.rot)
+        g = Graph(len(rot), [vertex_set(row) for row in rot])
+        for v, row in enumerate(rot):
+            if len(row) != g.degree(v):
                 raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
+        object.__setattr__(self, "rot", rot)
+        object.__setattr__(self, "graph", g)
 
     @cached_property
     def _faces(self) -> tuple[FaceDarts, ...]:
         """The faces as dart cycles in trace order, traced on first use and kept."""
         return tuple(_face_darts(self))
-
-
-def _rotation_system(rot: Sequence[Sequence[int]]) -> RotationSystem:
-    """The rotation system whose graph joins each vertex to its rotation."""
-    rot = tuple(tuple(row) for row in rot)
-    return RotationSystem(Graph(len(rot), [vertex_set(row) for row in rot]), rot)
 
 
 def _face_darts(system: RotationSystem) -> list[FaceDarts]:
@@ -170,21 +168,21 @@ def stack_vertex(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangula
     outer = tri.outer_face
     if set(corners) == set(outer):
         outer = (corners[0], corners[1], w)
-    return PlaneTriangulation(_rotation_system(new_rot), outer)
+    return PlaneTriangulation(RotationSystem(new_rot), outer)
 
 
 def k4_triangulation() -> PlaneTriangulation:
     rot = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1))
-    return PlaneTriangulation(_rotation_system(rot), (0, 1, 2))
+    return PlaneTriangulation(RotationSystem(rot), (0, 1, 2))
 
 
 def triangle_triangulation() -> PlaneTriangulation:
-    return PlaneTriangulation(_rotation_system(((1, 2), (2, 0), (0, 1))), (0, 1, 2))
+    return PlaneTriangulation(RotationSystem(((1, 2), (2, 0), (0, 1))), (0, 1, 2))
 
 
 def octahedron_triangulation() -> PlaneTriangulation:
     rot = ((1, 2, 4, 5), (0, 5, 3, 2), (0, 1, 3, 4), (1, 5, 4, 2), (0, 2, 3, 5), (0, 4, 3, 1))
-    return PlaneTriangulation(_rotation_system(rot), (0, 1, 5))
+    return PlaneTriangulation(RotationSystem(rot), (0, 1, 5))
 
 
 _ICOSAHEDRON_ROT = (
@@ -204,7 +202,7 @@ _ICOSAHEDRON_ROT = (
 
 
 def icosahedron_triangulation() -> PlaneTriangulation:
-    return PlaneTriangulation(_rotation_system(_ICOSAHEDRON_ROT), (0, 2, 9))
+    return PlaneTriangulation(RotationSystem(_ICOSAHEDRON_ROT), (0, 2, 9))
 
 
 def random_stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
@@ -242,7 +240,7 @@ def random_stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
         # the new faces are x y w for each face dart (x, y); w is the largest
         for x, y in zip(corners, corners[1:] + corners[:1]):
             insort(face_list, (x, y, w) if x < y else (y, w, x), key=key)
-    return PlaneTriangulation(_rotation_system(rot), tri.outer_face)
+    return PlaneTriangulation(RotationSystem(rot), tri.outer_face)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def parse_rotation_system(text: str) -> RotationSystem:
     rows = _text_lines(text)
     if not rows:
         raise ValueError("empty rotation input")
-    if not rows[0].isdecimal():
+    if not (rows[0].isascii() and rows[0].isdecimal()):
         raise ValueError(f"bad rotation header {rows[0]!r}")
     n = int(rows[0])
     if len(rows) - 1 != n:
@@ -349,4 +347,4 @@ def parse_rotation_system(text: str) -> RotationSystem:
         if rot[v] is not None:
             raise ValueError(f"vertex {v} listed twice")
         rot[v] = row
-    return _rotation_system(rot)
+    return RotationSystem(rot)

@@ -26,7 +26,6 @@ from .cuts import _minimal_separators
 from .graph import (
     Graph,
     _ASCII_WHITESPACE,
-    degree_sum,
     induced_is_forest,
     is_connected,
     is_independent_set,
@@ -270,7 +269,8 @@ def ingest_graph6(path: str) -> Graph6Corpus:
 # densities and claims
 
 _DENSITY_RE = re.compile(
-    r"^\s*([+-]?\d+)(?:/(\d+))?\s*\*?\s*n\s*(?:([+-])\s*(\d+)(?:/(\d+))?)?\s*$"
+    r"^\s*([+-]?\d+)(?:/(\d+))?\s*\*?\s*n\s*(?:([+-])\s*(\d+)(?:/(\d+))?)?\s*$",
+    re.ASCII,
 )
 
 
@@ -499,7 +499,7 @@ def audit_claim_inequalities(g: Graph) -> AuditRecord:
     rows = {name: all(satisfied[r] for r in ids) for name, ids in _audit_rows(size).items()}
     degs = [g.degree(v) for v in range(n)]
     nbhd_sums_ok = all(
-        degree_sum(g, g.adj[v]) >= 19 for v in range(n) if degs[v] == 4
+        sum(degs[u] for u in g.neighbors(v)) >= 19 for v in range(n) if degs[v] == 4
     )
     claim4_ok = all(
         sum(1 for u in g.neighbors(v) if degs[u] == 4) <= 2

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,10 @@ class TestThresholdGrammar:
     def test_bad_expression(self):
         with pytest.raises(ValueError):
             Density.parse("n^2")
+        # the grammar is ASCII: int() would read Arabic-Indic digits
+        for text in ("\u0661\u0661/5n-18/5", "3n\u2003-6"):
+            with pytest.raises(ValueError, match="^bad threshold expression"):
+                Density.parse(text)
 
     @pytest.mark.parametrize("text", ["1/0n", "2n-3/0"])
     def test_zero_denominator(self, capsys, text):
@@ -641,6 +646,21 @@ class TestLpCommand:
         assert code == 0
         assert lines[-1] == "objective-bound 22"
         assert len(calls) == 1
+
+    def test_infeasible_certificate_exits_1(self, capsys, monkeypatch):
+        from forestcut import lp
+
+        certificate = lp.certificate_dual_point
+
+        def negative_x4(n):
+            point = certificate(n)
+            return lp.DualPoint(point.x1, point.x2, point.x3, Fraction(-1, 70), point.y)
+
+        monkeypatch.setattr(lp, "certificate_dual_point", negative_x4)
+        code, lines = run_lines(capsys, ["lp", "--n", "10"])
+        assert code == 1
+        assert lines[-1] == "INFEASIBLE"
+        assert not any(ln.startswith("objective-bound") for ln in lines)
 
 
 class TestAuditCommand:

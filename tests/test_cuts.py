@@ -201,9 +201,10 @@ class TestMinimalSeparators:
         assert len(seps) == 5
         assert all(s.bit_count() == 2 for s in seps)
 
-    def test_complete_graph_rejected(self):
-        with pytest.raises(ValueError, match="complete graphs have no separator"):
-            list(enumerate_minimal_separators(fixture("k4")))
+    def test_complete_graph_has_none(self):
+        # the walk decides K_n: every G - N[v] is empty
+        assert list(enumerate_minimal_separators(fixture("k4"))) == []
+        assert list(enumerate_minimal_separators(cycle_diagonals_universal(2))) == []
 
     def test_deterministic_order(self):
         g = fixture("prism")
@@ -342,11 +343,27 @@ class TestFindForestCut:
 
     @pytest.mark.parametrize("finder", [
         find_forest_cut, find_independent_cut, lambda g: find_independent_cut_avoiding(g, 0),
+        pytest.param(lambda g: list(enumerate_minimal_separators(g)),
+                     id="enumerate_minimal_separators"),
+        all_minimal_forest_cuts,
     ])
     def test_precondition_checked_once(self, finder):
         # connected and not complete: one connectivity test, no completeness test
         calls = primitive_calls(lambda: finder(fixture("prism")))
         assert calls == {"is_connected": 1}
+
+    @pytest.mark.parametrize("query", [
+        find_forest_cut_exhaustive, find_forest_cut, find_independent_cut,
+        pytest.param(lambda g: find_independent_cut_avoiding(g, 0),
+                     id="find_independent_cut_avoiding"),
+        pytest.param(lambda g: list(enumerate_minimal_separators(g)),
+                     id="enumerate_minimal_separators"),
+        all_minimal_forest_cuts,
+    ])
+    def test_every_query_asks_order_three(self, query):
+        for g in (build_graph(1, []), build_graph(2, [(0, 1)])):
+            with pytest.raises(ValueError, match=f"^graph of order {g.order} has no vertex cut to look for$"):
+                query(g)
 
     @pytest.mark.parametrize("g, cut, most", [
         (build_graph(20, [(i, (i + 1) % 20) for i in range(20)]), vertex_set([1, 19]), 40),
@@ -478,8 +495,7 @@ class TestAllMinimalForestCuts:
 
     def test_universal_vertex_in_every_cut(self):
         # k=2 degenerates to K5, which has no separator at all
-        with pytest.raises(ValueError, match="complete graphs have no vertex cut"):
-            all_minimal_forest_cuts(cycle_diagonals_universal(2))
+        assert all_minimal_forest_cuts(cycle_diagonals_universal(2)) == []
         for k in (3, 4):
             g = cycle_diagonals_universal(k)
             y = 2 * k
@@ -490,9 +506,8 @@ class TestAllMinimalForestCuts:
     def test_c4(self):
         assert all_minimal_forest_cuts(c4()) == [vertex_set([0, 2]), vertex_set([1, 3])]
 
-    def test_complete_rejected(self):
-        with pytest.raises(ValueError, match="complete graphs have no vertex cut"):
-            all_minimal_forest_cuts(fixture("k4"))
+    def test_complete_has_none(self):
+        assert all_minimal_forest_cuts(fixture("k4")) == []
 
 
 class TestUniversalVertexReduction:
@@ -503,6 +518,9 @@ class TestUniversalVertexReduction:
 
     def test_c5_has_none(self):
         assert universal_vertex_reduction(c5()) is None
+
+    def test_order_one_has_none(self):
+        assert universal_vertex_reduction(build_graph(1, [])) is None
 
     def test_k4_reduces_to_k3(self):
         u, rest = universal_vertex_reduction(fixture("k4"))

@@ -15,7 +15,6 @@ from forestcut.graph import (
     _ASCII_WHITESPACE,
     _long_form_order,
     build_graph,
-    degree_sum,
     delete_edge,
     induced_subgraph,
     induced_is_forest,
@@ -70,6 +69,18 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.size == 1
 
+    def test_immutable_hashable_value(self):
+        g = k4()
+        with pytest.raises(AttributeError, match="^Graph is immutable$"):
+            g.order = 5
+        assert hash(g) == hash(build_graph(4, combinations(range(4), 2)))
+        assert len({g, k4(), c4()}) == 2
+        assert repr(g) == "Graph(order=4, m=6)"
+
+    def test_delete_non_edge_rejected(self):
+        with pytest.raises(ValueError, match=r"^\(0, 2\) is not an edge$"):
+            delete_edge(c4(), 0, 2)
+
     def test_handshake(self, random_connected_graph):
         for seed in range(10):
             g = random_connected_graph(8, seed)
@@ -85,6 +96,10 @@ class TestGraph6:
         # 'C' is 63+4; six 1-bits pad to 111111 00... -> 63+63 = '~'
         assert write_graph6(k4()) == "C~"
         assert parse_graph6("C~") == k4()
+
+    def test_blank_line_rejected(self):
+        with pytest.raises(ValueError, match="^empty graph6 line$"):
+            parse_graph6("  ")
 
     def test_truncated_line_rejected(self):
         with pytest.raises(ValueError, match="expected 1 data bytes, got 0"):
@@ -326,6 +341,10 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list("2 1\n")
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="^empty edge-list input$"):
+            parse_edge_list("")
+
     def test_non_integer_header_named(self):
         with pytest.raises(ValueError, match="^bad edge-list header '4 a'$"):
             parse_edge_list("4 a\n0 1\n")
@@ -407,6 +426,15 @@ class TestVertexConnectivity:
     def test_complete_graphs(self):
         assert vertex_connectivity_at_least(k4(), 3)
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_one_to_n_minus_one_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.3$"):
+            vertex_connectivity_at_least(k4(), k)
+
+    def test_masks_larger_than_the_ground_set(self):
+        assert list(masks_of_size(3, 4)) == []
+        assert list(masks_of_size(3, 3)) == [0b111]
+
     def test_disconnected_graph_is_not_k_connected(self):
         two_k4 = build_graph(8, [(u + o, v + o) for o in (0, 4) for u, v in combinations(range(4), 2)])
         for g in (two_k4, build_graph(3, [(0, 1)])):
@@ -485,8 +513,3 @@ class TestDegreeProfile:
             assert partition_row_holds(g) == topped
             if topped:
                 assert point["n_4"] == sum(split_counts(point))
-
-    def test_degree_sum_helper(self):
-        g = fixture("octahedron")
-        assert degree_sum(g, g.adj[0]) == 16
-        assert degree_sum(g, g.vertex_mask) == 2 * g.size

@@ -277,6 +277,11 @@ class TestCheckFeasible:
         assert not row.satisfied
         assert row.lhs == F(71, 35)
 
+    def test_unknown_row_raises_key_error(self):
+        report = check_feasible(build_dual(9), certificate_dual_point(9).assignment())
+        with pytest.raises(KeyError, match="missing"):
+            report.row("missing")
+
     def test_zero_point_is_feasible(self):
         n = 10
         zero = {v: F(0) for v in build_dual(n).variables}
@@ -390,6 +395,9 @@ class TestSolvePrimalExact:
         from forestcut.lp import LpInstance, LpRow
 
         valid = tuple(LpRow(f"ok{i}", {"x": F(i)}, "<=", F(0)) for i in range(3))
+        with pytest.raises(ValueError, match="^objective references undeclared variables$"):
+            LpInstance(name="bad", sense="min", variables=("x",), objective={"ghost": F(1)},
+                       rows=valid, nonnegative=frozenset(("x",)))
         with pytest.raises(ValueError, match="row 'r' references undeclared variables"):
             LpInstance(
                 name="bad",

@@ -37,8 +37,7 @@ def is_plane_triangulation(system):
 
 
 def c4_system():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    return RotationSystem(g, ((1, 3), (2, 0), (3, 1), (0, 2)))
+    return RotationSystem(((1, 3), (2, 0), (3, 1), (0, 2)))
 
 
 def inside_by_face_walk(tri, xy, q_verts):
@@ -104,7 +103,9 @@ def networkx_triangulation(nx, n, seed):
             h.remove_edge(u, v)
     _, emb = nx.check_planarity(h)
     rot = tuple(tuple(emb.neighbors_cw_order(v)) for v in range(n))
-    return RotationSystem(build_graph(n, h.edges()), rot)
+    system = RotationSystem(rot)
+    assert system.graph == build_graph(n, h.edges())
+    return system
 
 
 class TestFaces:
@@ -127,15 +128,14 @@ class TestFaces:
         assert write_graph6(k4_triangulation().graph) == "C~"
 
     def test_transposed_rotation_breaks_euler(self):
-        g = k4_triangulation().graph
         rot = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 1, 0))  # last row transposed
         with pytest.raises(ValueError, match=r"face trace gives n-m\+f = 0, expected 2"):
-            faces(RotationSystem(g, rot))
+            faces(RotationSystem(rot))
 
     def test_rotation_must_match_neighbors(self):
-        g = k4_triangulation().graph
-        with pytest.raises(ValueError):
-            RotationSystem(g, ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 0)))
+        # the rows are symmetric, so Graph accepts them and the repeat is named
+        with pytest.raises(ValueError, match="^rotation at 3 is not a permutation of its neighbors$"):
+            RotationSystem(((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1, 1)))
 
 
 class TestIsPlaneTriangulation:
@@ -149,6 +149,11 @@ class TestIsPlaneTriangulation:
 
     def test_c4_is_not(self):
         assert not is_plane_triangulation(c4_system())
+
+    def test_outer_face_must_be_a_face(self):
+        embedding = octahedron_triangulation().embedding
+        with pytest.raises(ValueError, match=re.escape("(0, 1, 3) is not a face of the embedding")):
+            PlaneTriangulation(embedding, (0, 1, 3))
 
     def test_k4(self):
         assert is_plane_triangulation(k4_triangulation().embedding)
@@ -431,7 +436,7 @@ class TestRotationFiles:
         with pytest.raises(ValueError, match=f"^vertex {vertex} outside 0..1$"):
             parse_rotation_system(f"2\n{line}\n1: 0\n")
 
-    @pytest.mark.parametrize("header", ["x", "2.5", "3 4", "-2"])
+    @pytest.mark.parametrize("header", ["x", "2.5", "3 4", "-2", "\u0664"])
     def test_bad_header_named(self, header):
         with pytest.raises(ValueError, match=f"^bad rotation header {re.escape(repr(header))}$"):
             parse_rotation_system(f"{header}\n0: 1\n1: 0\n")
@@ -454,6 +459,8 @@ class TestReroot:
             assert moved.outer_face == f
 
     def test_non_face_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("(0, 1) is not a face of the embedding")):
+            reroot(k4_triangulation(), (0, 1))
         t = stack_vertex(k4_triangulation(), (0, 3, 1))
         present = {frozenset(f) for f in faces(t.embedding)}
         missing = next(

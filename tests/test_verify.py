@@ -364,6 +364,13 @@ class TestCheckers:
     def test_theorem1_on_small_corpus(self):
         corpus = list(enumerate_connected_graphs(5))
         assert run_check("theorem1", corpus, "n5").counterexamples == ()
+        holds = CLAIMS["theorem1"].holds
+        # K_{1,3}: its centre lies in its only separator
+        assert not holds(build_graph(4, [(0, 3), (1, 3), (2, 3)]))
+        # the diamond K4 - e: its one separator is an edge
+        assert not holds(build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
+        # C4: its two separators are disjoint independent pairs
+        assert holds(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
