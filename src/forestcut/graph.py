@@ -325,10 +325,6 @@ def is_connected(g: Graph) -> bool:
     return len(component_neighbourhoods(g.adj, g.vertex_mask)) == 1
 
 
-def is_complete(g: Graph) -> bool:
-    return g.size == g.order * (g.order - 1) // 2
-
-
 def induced_is_forest(g: Graph, s: int) -> bool:
     """True iff the subgraph induced by the bit set ``s`` is acyclic."""
     edges = 0
@@ -369,11 +365,17 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     True when no set of fewer than k vertices, the empty set included, is a
     vertex cut.  So a disconnected graph is not k-connected for any k, and
     K_n is (n-1)-connected: removing at most n - 2 vertices leaves a clique.
+
+    For k >= 2 a vertex v of degree below k answers at once: as k <= n - 1,
+    v has a non-neighbour, and v is isolated in G - N(v), so N(v) is a cut
+    of fewer than k vertices.
     """
     n = g.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} outside 1..{n - 1}")
     adj = g.adj
+    if k >= 2 and min(map(int.bit_count, adj)) < k:
+        return False
     full = g.vertex_mask
     for size in range(k):
         for s in masks_of_size(n, size):

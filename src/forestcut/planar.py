@@ -25,15 +25,21 @@ FaceDarts = tuple[Dart, ...]
 class RotationSystem:
     """A cyclic neighbor order at every vertex; ``graph`` joins each vertex to its row.
 
-    ``Graph`` checks that the rows are in range, loop-free and symmetric, so
-    the one check here is that no row repeats a neighbor."""
+    Each row must name vertices in range, and ``Graph`` checks that the rows
+    are loop-free and symmetric, so the one check left is that no row
+    repeats a neighbor."""
 
     rot: tuple[tuple[int, ...], ...]
     graph: Graph = field(init=False, compare=False)
 
     def __post_init__(self):
         rot = tuple(tuple(row) for row in self.rot)
-        g = Graph(len(rot), [vertex_set(row) for row in rot])
+        n = len(rot)
+        for v, row in enumerate(rot):
+            for u in row:
+                if not 0 <= u < n:
+                    raise ValueError(f"rotation at {v} names vertex {u} outside 0..{n - 1}")
+        g = Graph(n, [vertex_set(row) for row in rot])
         for v, row in enumerate(rot):
             if len(row) != g.degree(v):
                 raise ValueError(f"rotation at {v} is not a permutation of its neighbors")

@@ -44,28 +44,39 @@ ENUMERATION_ORDER_CAP = 8
 # canonical forms
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(adj: tuple[int, ...], cells: list[int], used: Iterable[int] = ()) -> list[int]:
     """Refine ordered bit-set cells until the partition is equitable.
 
     The first cell not yet used as a splitter splits each cell by its
     vertices' neighbour counts in the splitter, parts ordered by count, so
     vertex names never decide the result.  A cell split by a splitter stays
     even towards it, so each cell is a splitter at most once.
+
+    A cell of an equitable partition splits no cell of that partition, so
+    none of their parts either; a caller passes such cells as ``used``, as
+    using them would change nothing.  A cell whose vertices all count alike
+    is kept whole, without building its parts.
     """
-    used = set()
+    used = set(used)
     while len(cells) < len(adj) and (splitter := next((c for c in cells if c not in used), 0)):
         used.add(splitter)
         split = []
         for cell in cells:
-            if not cell & (cell - 1):
+            # walk down from the top vertex while the counts agree
+            v = cell.bit_length() - 1
+            first = (adj[v] & splitter).bit_count()
+            rest = cell ^ 1 << v
+            while rest and (adj[v := rest.bit_length() - 1] & splitter).bit_count() == first:
+                rest ^= 1 << v
+            if not rest:
                 split.append(cell)
                 continue
-            parts: dict[int, int] = {}
-            while cell:
-                low = cell & -cell
-                k = (adj[low.bit_length() - 1] & splitter).bit_count()
-                parts[k] = parts.get(k, 0) | low
-                cell ^= low
+            parts = {first: cell ^ rest}
+            while rest:
+                v = rest.bit_length() - 1
+                k = (adj[v] & splitter).bit_count()
+                parts[k] = parts.get(k, 0) | 1 << v
+                rest ^= 1 << v
             split += [parts[k] for k in sorted(parts)]
         cells = split
     return cells
@@ -85,7 +96,9 @@ def _closure(mask: int, perms: list, todo: int) -> int:
 
 
 def _children(adj: tuple[int, ...], cells: list[int], target: int, autos: list) -> Iterator[list[int]]:
-    """The node's cells with one vertex of ``target`` singled out, per orbit.
+    """The node's cells with one vertex of ``target`` singled out, per orbit,
+    refined.  The other cells come from the node's equitable partition, so
+    they start as used splitters.
 
     An automorphism that fixes the node's singletons maps each child to one
     with the same leaf graphs.  A vertex is skipped when such a one in the
@@ -93,6 +106,7 @@ def _children(adj: tuple[int, ...], cells: list[int], target: int, autos: list) 
     (same neighbours apart from each other): their swap joins ``autos``.
     """
     at = cells.index(target)
+    used = cells[:at] + cells[at + 1:]
     fixed = [c.bit_length() - 1 for c in cells if not c & (c - 1)]
     tried: list[int] = []
     perms: list[list[int]] = []
@@ -107,33 +121,36 @@ def _children(adj: tuple[int, ...], cells: list[int], target: int, autos: list) 
         if twin is None:
             tried.append(v)
             done = _closure(done | 1 << v, perms, 1 << v)
-            yield cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1:]
+            yield _refine(adj, cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1:], used)
         else:
             autos.append([v if x == twin else twin if x == v else x for x in range(len(adj))])
 
 
-def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]], dict[int, int]]:
+def _canonical_rows(
+    adj: tuple[int, ...], root: list[int] | None = None,
+) -> tuple[tuple[int, ...], list[list[int]], dict[int, int]]:
     """The least relabeled adjacency rows over the leaves of a search,
     automorphisms that generate the group of those rows, and the position in
     those rows of each vertex of ``adj``.
 
-    A node refines its cells and branches on each vertex of the first cell
-    with more than one vertex, singled out in front of the rest, one per
-    orbit (``_children``).  Two leaves with equal rows give the automorphism
-    from the first one's labeling to the other's.  The generators are
-    returned in canonical positions, relabeled through the least leaf's
-    labeling, so they act on the returned rows whatever labeling ``adj`` had.
+    The search starts from ``root``, the refined unit partition, and refines
+    that itself when it is not given.  A node branches on each vertex of its
+    first cell with more than one vertex, singled out in front of the rest,
+    one per orbit, and refines each child (``_children``).  Two leaves with
+    equal rows give the automorphism from the first one's labeling to the
+    other's.  The generators are returned in canonical positions, relabeled
+    through the least leaf's labeling, so they act on the returned rows
+    whatever labeling ``adj`` had.
     """
     n = len(adj)
     leaves: dict[tuple[int, ...], list[int]] = {}
     autos: list[list[int]] = []
-    nodes = [iter([[(1 << n) - 1]])]
+    nodes = [iter([root or _refine(adj, [(1 << n) - 1])])]
     while nodes:
         cells = next(nodes[-1], None)
         if cells is None:
             nodes.pop()
             continue
-        cells = _refine(adj, cells)
         target = next((c for c in cells if c & (c - 1)), 0)
         if target:
             nodes.append(_children(adj, cells, target, autos))
@@ -182,7 +199,14 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, list[list[int]]], ...]:
       so S and S' are one orbit, extended once.
 
     The orbit of m(G) holds only vertices of maximum degree.  So a child with
-    a vertex of degree above |S| = deg(v) is rejected without a search.
+    a vertex of degree above |S| = deg(v) is rejected without a search.  The
+    orbit also lies in the first cell of maximum degree of the refined unit
+    partition of G.  Refinement never reads vertex names, so Aut(G) maps each
+    of those cells to itself.  The search only splits cells in place, so
+    every leaf lists the vertices cell by cell, and m(G) lies in the first
+    cell whose vertices have degree deg(m(G)).  So a child whose v is in no
+    such cell is rejected without a search too, and a kept child's search
+    starts from those cells.
     """
     if n == 1:
         return ((Graph(1, (0,)), []),)
@@ -207,7 +231,11 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, list[list[int]]], ...]:
                 continue
             seen = _closure(seen | 1 << s, on_sets, 1 << s)
             child = tuple(r | (s >> v & 1) << g.order for v, r in enumerate(g.adj)) + (s,)
-            rows, gens, pos = _canonical_rows(child)
+            root = _refine(child, [(1 << n) - 1])
+            top = next(c for c in root if child[c.bit_length() - 1].bit_count() == k)
+            if not top >> g.order & 1:
+                continue
+            rows, gens, pos = _canonical_rows(child, root)
             m = next(i for i, r in enumerate(rows) if r.bit_count() == k)
             if _closure(1 << m, gens, 1 << m) >> pos[g.order] & 1:
                 classes.append((rows, gens))

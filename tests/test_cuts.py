@@ -33,7 +33,6 @@ from forestcut.graph import (
     component_neighbourhoods,
     delete_edge,
     induced_is_forest,
-    is_complete,
     is_connected,
     is_independent_set,
     iter_bits,
@@ -52,8 +51,8 @@ WITNESS_SHA256 = "3e3c0c9223be28a2e5822a1fb2b263d9179fd34f20718f93ca982d8dd3380e
 
 
 def primitive_calls(run):
-    """How often ``run()`` enters is_connected and is_complete, by name."""
-    watched = {f.__code__: f.__name__ for f in (is_connected, is_complete)}
+    """How often ``run()`` enters is_connected, by name."""
+    watched = {is_connected.__code__: is_connected.__name__}
     calls = Counter()
 
     def hook(frame, event, arg):
@@ -121,7 +120,7 @@ def pinned_graphs():
     """Every connected, non-complete graph of order <= 7, then the non-complete fixtures."""
     graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     graphs += [fixture(name) for name in FIXTURE_NAMES]
-    return [g for g in graphs if not is_complete(g)]
+    return [g for g in graphs if g.size < g.order * (g.order - 1) // 2]
 
 
 def stream_digest(read):
@@ -348,7 +347,7 @@ class TestFindForestCut:
         all_minimal_forest_cuts,
     ])
     def test_precondition_checked_once(self, finder):
-        # connected and not complete: one connectivity test, no completeness test
+        # connected and not complete: one connectivity test
         calls = primitive_calls(lambda: finder(fixture("prism")))
         assert calls == {"is_connected": 1}
 
@@ -537,7 +536,7 @@ class TestUniversalVertexReduction:
         checked = 0
         for g in graphs:
             reduction = universal_vertex_reduction(g)
-            if reduction is None or is_complete(g):
+            if reduction is None or g.size == g.order * (g.order - 1) // 2:
                 continue
             u, rest = reduction
             ids = [v for v in range(g.order) if v != u]

@@ -461,6 +461,18 @@ class TestVertexConnectivity:
                                 expected = False
                 assert vertex_connectivity_at_least(g, k) == expected
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_networkx_node_connectivity(self, n):
+        # every graph of order n, connected or not, at every k, so the degree
+        # exit for k >= 2 and the search behind it both meet the oracle
+        nx = pytest.importorskip("networkx")
+        for g in enumerate_graphs(n):
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(n))
+            kappa = nx.node_connectivity(h)
+            values = [vertex_connectivity_at_least(g, k) for k in range(1, n)]
+            assert values == [kappa >= k for k in range(1, n)]
+
 
 def partition_row_holds(g):
     """Whether g's profile point satisfies the deg4-partition row."""

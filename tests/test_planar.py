@@ -137,6 +137,11 @@ class TestFaces:
         with pytest.raises(ValueError, match="^rotation at 3 is not a permutation of its neighbors$"):
             RotationSystem(((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1, 1)))
 
+    @pytest.mark.parametrize("vertex", [-1, 2])
+    def test_vertex_out_of_range_names_its_row(self, vertex):
+        with pytest.raises(ValueError, match=f"^rotation at 1 names vertex {vertex} outside 0..1$"):
+            RotationSystem(((1,), (0, vertex)))
+
 
 class TestIsPlaneTriangulation:
     def test_octahedron(self):

@@ -48,8 +48,11 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # order n with a vertex subset, one per extension of the order-n classes
 GRAPHS_WITH_LOOPS = {1: 2, 2: 6, 3: 20, 4: 90, 5: 544, 6: 5096}
 # the extensions among those whose new vertex has maximum degree, the only
-# ones canonical augmentation searches
+# ones canonical augmentation refines
 MAX_DEGREE_EXTENSIONS = {1: 2, 2: 4, 3: 11, 4: 37, 5: 184, 6: 1401}
+# the extensions among those whose new vertex is also in the first cell of
+# maximum degree of the refined unit partition, the only ones it searches
+SEARCHED_EXTENSIONS = {1: 2, 2: 4, 3: 11, 4: 34, 5: 156, 6: 1046}
 # sha256 of the graph6 lines of enumerate_graphs(1..7), 1,252 lines
 ENUMERATION_SHA256 = "c41e8be3cba93709fcce96b1fbec12ed0581526a17afa27ebebfa519c065564a"
 # order 8: A000088 classes, A001349 connected ones, the sha256 of the graph6
@@ -118,6 +121,28 @@ def vertex_orbits(n, group):
     return {frozenset(p[v] for p in group) for v in range(n)}
 
 
+def seed_refine(adj, cells):
+    """Refinement as first written: every cell starts unused and each cell
+    splits into parts built vertex by vertex; ``verify._refine`` must agree."""
+    used = set()
+    while len(cells) < len(adj) and (splitter := next((c for c in cells if c not in used), 0)):
+        used.add(splitter)
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            parts = {}
+            while cell:
+                low = cell & -cell
+                k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                parts[k] = parts.get(k, 0) | low
+                cell ^= low
+            split += [parts[k] for k in sorted(parts)]
+        cells = split
+    return cells
+
+
 def set_orbits(g):
     """The orbits of g's brute-force group on vertex sets, by least member."""
     n = g.order
@@ -181,8 +206,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_extensions_per_parent_order_match_a000666(self, n, monkeypatch):
         # one extension per orbit of a parent's group on vertex sets (A000666),
-        # one search per extension whose new vertex has maximum degree, and
-        # one Graph per class; the parents' groups are not searched again
+        # one search per extension whose new vertex has maximum degree and
+        # lies in the first such root cell, at least one per class, and one
+        # Graph per class; the parents' groups are not searched again
         extensions = [(g, s) for g, _ in _graph_classes(n) for s in set_orbits(g)]
         assert len(extensions) == GRAPHS_WITH_LOOPS[n]
         topped = sum(all(g.degree(u) + (s >> u & 1) <= s.bit_count() for u in range(n))
@@ -190,12 +216,38 @@ class TestEnumeration:
         assert topped == MAX_DEGREE_EXTENSIONS[n]
         searched, built = [], []
         monkeypatch.setattr(verify, "_canonical_rows",
-                            lambda adj: searched.append(adj) or _canonical_rows(adj))
+                            lambda adj, root: searched.append(adj) or _canonical_rows(adj, root))
         monkeypatch.setattr(verify, "Graph",
                             lambda order, adj: built.append(adj) or Graph(order, adj))
         assert len(_graph_classes.__wrapped__(n + 1)) == ALL_COUNTS[n + 1]
-        assert len(searched) == topped
+        assert ALL_COUNTS[n + 1] <= len(searched) <= topped
+        assert len(searched) == SEARCHED_EXTENSIONS[n]
         assert len(built) == ALL_COUNTS[n + 1]
+
+    def test_refinement_matches_the_seed_at_every_node(self, monkeypatch):
+        # every refinement of every search over the graphs of order <= 7 and
+        # a shuffled copy of each, whether the search refines its root or is
+        # handed it, gives the cells that refining from nothing used gives
+        refine = verify._refine
+        checked = []
+
+        def compared(adj, cells, used=()):
+            refined = refine(adj, cells, used)
+            assert refined == seed_refine(adj, cells)
+            checked.append(cells)
+            return refined
+
+        monkeypatch.setattr(verify, "_refine", compared)
+        rng = random.Random(25)
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                perm = rng.sample(range(n), n)
+                shuffled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                for h in (g, shuffled):
+                    assert _canonical_rows(h.adj)[0] == g.adj
+                    assert _canonical_rows(h.adj, refine(h.adj, [(1 << n) - 1]))[0] == g.adj
+        # each search not handed its root refines it here, then its nodes
+        assert len(checked) > 2 * 1252
 
     def test_order8_within_budget(self):
         _graph_classes.cache_clear()
