@@ -9,9 +9,10 @@ witness exists.
 
 Every public query asks, on entry, for a connected graph of order at least
 3 (``_require_connected``), because the empty set already separates a
-disconnected graph, and then trusts it: the walk ``_minimal_separators``
-checks nothing, and the claims in ``verify`` walk it after their own filters
-have established both conditions.  On K_n the walk yields nothing, as every
+disconnected graph.  The walk ``_minimal_separators`` checks nothing and
+needs no check: on a disconnected graph it yields the empty set alone, so
+the claims in ``verify`` walk every graph of order at least 3 that their
+filters pass, connected or not.  On K_n the walk yields nothing, as every
 G - N[v] is empty, so every query gives an empty result for K_n without a
 test of its own.
 
@@ -105,8 +106,8 @@ def find_forest_cut_exhaustive(g: Graph) -> Optional[CutWitness]:
 
 
 def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
-    """Stream every inclusion-minimal vertex cut S of a connected graph exactly
-    once, with the components of G - S.
+    """Stream every inclusion-minimal vertex cut S of a graph exactly once,
+    with the components of G - S.
 
     Close-neighbourhood expansion (Berry, Bordat and Cogis, IJFCS 11, 2000):
     the minimal separators are the neighbourhoods N_i = N(C_i) of the
@@ -133,6 +134,14 @@ def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
     N_j = N_i, and D.  Each set is tested where it is found; a FIFO pops in
     discovery order, so the stream is the one a walk testing each set as it
     leaves the queue would give.
+
+    The walk is exact on a disconnected graph too, whose one minimal cut is
+    the empty set.  N[v] lies in one component of G, so each N_i found in
+    its search does, and so, inductively, does every excluded set, as the
+    empty set expands to none.  So every search meets a whole other
+    component, whose neighbourhood is empty.  The first search finds the
+    empty set, a minimal cut whose components are those of G, and every
+    other N_i has the empty set as a proper subset, so is not yielded.
     """
     adj = g.adj
     full = g.vertex_mask

@@ -368,7 +368,9 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
 
     For k >= 2 a vertex v of degree below k answers at once: as k <= n - 1,
     v has a non-neighbour, and v is isolated in G - N(v), so N(v) is a cut
-    of fewer than k vertices.
+    of fewer than k vertices.  Past that exit every vertex has degree at
+    least 2, so each component of a disconnected G has at least 3 vertices
+    and G - 0 is disconnected: the search starts at cut size 1.
     """
     n = g.order
     if not 1 <= k <= n - 1:
@@ -377,7 +379,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     if k >= 2 and min(map(int.bit_count, adj)) < k:
         return False
     full = g.vertex_mask
-    for size in range(k):
+    for size in range(0 if k == 1 else 1, k):
         for s in masks_of_size(n, size):
             if len(component_neighbourhoods(adj, full & ~s)) >= 2:
                 return False

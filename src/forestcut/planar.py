@@ -82,21 +82,6 @@ def _face_darts(system: RotationSystem) -> list[FaceDarts]:
     return out
 
 
-def _min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
-    best = None
-    k = len(seq)
-    for i in range(k):
-        cand = tuple(seq[i:]) + tuple(seq[:i])
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def faces(system: RotationSystem) -> list[tuple[int, ...]]:
-    """All faces as vertex cycles, each rotated to start at its minimum."""
-    return [_min_rotation([d[0] for d in f]) for f in system._faces]
-
-
 @dataclass(frozen=True)
 class PlaneTriangulation:
     """A rotation system all of whose faces are triangles, plus an outer face."""

@@ -348,11 +348,13 @@ class Claim:
     ``density`` and ``min_connectivity``-connected satisfies ``holds``, and
     any such graph that does not is a counterexample.
 
-    Every row asks for at least connectivity 1.  A disconnected graph is
-    scanned but never flagged, because the empty set separates it and is both
-    independent and a forest.  ``flags`` calls ``holds`` only on a connected
-    graph of order at least ``min_order`` >= 3, so ``holds`` walks the
-    separators without the finders' own entry check.
+    A row asks for connectivity only where its source states it
+    (``theorem1``, ``conjecture2``).  A disconnected graph is scanned but
+    never flagged: the other rows walk the separators, and on it the walk
+    yields the empty set alone, which is independent and a forest.
+    ``flags`` calls ``holds`` only on a graph of order at least
+    ``min_order`` >= 3, so ``holds`` walks the separators without the
+    finders' own entry check.
     """
 
     density: Density
@@ -395,11 +397,11 @@ def _every_vertex_avoidable(g: Graph) -> bool:
 
 CLAIMS: dict[str, Claim] = {
     # Graphs with m < 3n-6 and no forest cut.
-    "conjecture1": Claim(Density(3, -6), 3, 1, _has_forest_cut),
+    "conjecture1": Claim(Density(3, -6), 3, 0, _has_forest_cut),
     # Graphs with m < 11n/5 - 18/5 and no forest cut (must stay empty).
-    "theorem2": Claim(Density(11, -18, 5), 3, 1, _has_forest_cut),
+    "theorem2": Claim(Density(11, -18, 5), 3, 0, _has_forest_cut),
     # Graphs with m < 2n-3 and no independent cut (must stay empty).
-    "chenyu": Claim(Density(2, -3), 3, 1, _has_independent_cut),
+    "chenyu": Claim(Density(2, -3), 3, 0, _has_independent_cut),
     # 2-connected graphs with m < 2n-3 where some vertex cannot be avoided.
     "theorem1": Claim(Density(2, -3), 3, 2, _every_vertex_avoidable),
     # 3-connected, cyclic-neighborhood graphs with m < 7(n-1)/3.

@@ -41,7 +41,7 @@ from forestcut.graph import (
     write_graph6,
 )
 from forestcut.planar import random_stacked_triangulation
-from forestcut.verify import enumerate_connected_graphs
+from forestcut.verify import enumerate_connected_graphs, enumerate_graphs
 
 # sha256 over every connected, non-complete graph of order <= 7 and the nine
 # non-complete fixtures (see stream_digest).  A walk that finds the same sets
@@ -228,6 +228,19 @@ class TestMinimalSeparators:
                 assert comps == components(g, g.vertex_mask & ~s)
                 assert len(comps) >= 2
                 assert all(open_neighbourhood(g, c) == s for c in comps)
+
+    def test_disconnected_graphs_yield_the_empty_set_alone(self):
+        # the claims walk disconnected graphs: every excluded set lies in one
+        # component, so each search meets a component with no neighbours
+        walked = 0
+        for n in range(2, 8):
+            for g in enumerate_graphs(n):
+                if not is_connected(g):
+                    walk = list(_minimal_separators(g))
+                    assert [s for s, _ in walk] == [0]
+                    assert walk[0][1] == components(g, g.vertex_mask)
+                    walked += 1
+        assert walked == 256
 
     def test_every_vertex_sees_all_components(self, random_connected_graph):
         for seed in range(20):

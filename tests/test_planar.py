@@ -18,7 +18,6 @@ from forestcut.planar import (
     RotationSystem,
     _fan_path,
     face_containing_edge,
-    faces,
     icosahedron_triangulation,
     k4_triangulation,
     octahedron_triangulation,
@@ -30,6 +29,12 @@ from forestcut.planar import (
     triangle_triangulation,
     write_rotation_system,
 )
+
+
+def faces(system):
+    """All faces as vertex cycles, each rotated to its least rotation."""
+    cycles = [[d[0] for d in f] for f in system._faces]
+    return [min(tuple(c[i:] + c[:i]) for i in range(len(c))) for c in cycles]
 
 
 def is_plane_triangulation(system):

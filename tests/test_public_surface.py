@@ -125,3 +125,33 @@ def test_one_reader_and_no_environment():
             if name in banned:
                 found.append(f"{path.name}:{line} {name}")
     assert found == []
+
+
+# public top-level names that nothing in src/ or perfbench/ uses, each kept
+# for a reason of its own
+UNCALLED_PUBLIC_NAMES = {
+    "stack_vertex": "the test reference for random_stacked_triangulation",
+    "triangle_triangulation": "goes once planar.triangulate can build the triangle (ROADMAP direction 1)",
+    "figure1_census": "acceptance criterion 1 reproduces Figure 1 from it",
+}
+
+
+def test_every_public_helper_has_a_caller():
+    """Each public top-level function or class of the package is used by name
+    in src/ or perfbench/, apart from the listed ones; no helper lives on for
+    its tests alone."""
+    package = sorted((ROOT / "src" / "forestcut").glob("*.py"))
+    defined = {
+        node.name
+        for path in package
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined - used == set(UNCALLED_PUBLIC_NAMES)

@@ -9,7 +9,7 @@ import pytest
 from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, components, symmetric_graphs
 from forestcut import verify
 from forestcut.constructions import conjecture2_family, fixture
-from forestcut import cuts
+from forestcut import cuts, graph
 from forestcut.cuts import find_forest_cut, find_independent_cut, find_independent_cut_avoiding
 from forestcut.graph import (
     Graph,
@@ -561,11 +561,17 @@ class TestCheckers:
         assert list(report.counterexamples) == pinned
 
 
+# the connectivity the reference asks of each claim, kept apart from CLAIMS:
+# 1 where the claim's source states none, as the public finders take only
+# connected graphs; CLAIMS asks 0 there and must give the same reports
+STATED_CONNECTIVITY = {"conjecture1": 1, "theorem2": 1, "chenyu": 1, "theorem1": 2, "conjecture2": 3}
+
+
 def public_finder_flags(name: str, g: Graph) -> bool:
     """Whether claim ``name`` flags g, with each condition read from the
     public finders, which check connectivity again on entry."""
     claim = CLAIMS[name]
-    if g.order < claim.min_order or not sparse_k_connected(g, claim.density, claim.min_connectivity):
+    if g.order < claim.min_order or not sparse_k_connected(g, claim.density, STATED_CONNECTIVITY[name]):
         return False
     if name in ("conjecture1", "theorem2"):
         return find_forest_cut(g) is None
@@ -589,6 +595,22 @@ def mixed_corpus() -> list[Graph]:
     return corpus
 
 
+def whole_graph_searches(monkeypatch, run) -> int:
+    """How many component searches ``run()`` makes over a whole vertex set,
+    the search a connectivity test makes."""
+    count = [0]
+    search = graph.component_neighbourhoods
+
+    def counted(adj, sub):
+        count[0] += sub == (1 << len(adj)) - 1
+        return search(adj, sub)
+
+    monkeypatch.setattr(graph, "component_neighbourhoods", counted)
+    monkeypatch.setattr(cuts, "component_neighbourhoods", counted)
+    run()
+    return count[0]
+
+
 class TestTrustingClaimPath:
     """The claims walk the separators without the finders' entry check,
     which ``Claim.flags`` has made redundant; the reports must not change."""
@@ -601,6 +623,19 @@ class TestTrustingClaimPath:
         flagged = sorted(canonical_graph6(g) for g in corpus if public_finder_flags(claim, g))
         report = run_check(claim, corpus, "mixed")
         assert report == verify.CheckReport(claim, "mixed", len(corpus), tuple(flagged))
+
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
+    def test_builtin_scan_tests_connectivity_once_per_graph(self, claim, monkeypatch):
+        # enumerate_connected_graphs tests each of the 1,044 graphs of order 7;
+        # the claim itself searches no whole graph
+        searches = whole_graph_searches(monkeypatch, lambda: run_check(claim, enumerate_connected_graphs(7)))
+        assert searches == ALL_COUNTS[7]
+
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
+    def test_connected_corpus_spends_no_search_on_connectivity(self, claim, monkeypatch):
+        corpus = [g for g in mixed_corpus() if is_connected(g)]
+        assert len(corpus) > 300
+        assert whole_graph_searches(monkeypatch, lambda: run_check(claim, corpus)) == 0
 
     def test_theorem1_walks_no_more_than_a_walk_per_vertex(self, monkeypatch):
         walked = [0]
