@@ -2,12 +2,14 @@
 
 Vertex numbering is fixed so tests are bit-reproducible: cycle vertices
 come first in cycle order and a universal vertex, when present, is always
-the last index.
+the last index.  The families hand ``build_graph`` their edges lazily, so
+an order above ``MAX_ORDER`` is refused before any edge is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import Graph, build_graph
 from .planar import icosahedron_triangulation, k4_triangulation, octahedron_triangulation
@@ -22,9 +24,9 @@ def cycle_diagonals_universal(k: int) -> Graph:
     if k < 2:
         raise ValueError("needs k >= 2")
     n = 2 * k + 1
-    edges = [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
-    edges += [(i, i + k) for i in range(k)]
-    edges += [(i, 2 * k) for i in range(2 * k)]
+    edges = chain(((i, (i + 1) % (2 * k)) for i in range(2 * k)),
+                  ((i, i + k) for i in range(k)),
+                  ((i, 2 * k) for i in range(2 * k)))
     return build_graph(n, edges)
 
 
@@ -37,8 +39,8 @@ def k3_band_cycle(n: int, c: int) -> Graph:
     """
     if n <= 6 or not 3 <= c < n - 3:
         raise ValueError(f"need n > 6 and 3 <= c < n-3, got n={n}, c={c}")
-    edges = [(a, b) for a in range(3) for b in range(3, n)]
-    edges += [(3 + i, 3 + (i + 1) % c) for i in range(c)]
+    edges = chain(((a, b) for a in range(3) for b in range(3, n)),
+                  ((3 + i, 3 + (i + 1) % c) for i in range(c)))
     return build_graph(n, edges)
 
 
@@ -52,9 +54,9 @@ def conjecture2_family(k: int) -> Graph:
         raise ValueError("needs k >= 1")
     ring = 3 * k + 3
     n = ring + 1
-    edges = [(i, (i + 1) % ring) for i in range(ring)]
-    edges += [(3 * i, 3 * i + 2) for i in range(k + 1)]
-    edges += [(i, ring) for i in range(ring)]
+    edges = chain(((i, (i + 1) % ring) for i in range(ring)),
+                  ((3 * i, 3 * i + 2) for i in range(k + 1)),
+                  ((i, ring) for i in range(ring)))
     return build_graph(n, edges)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .graph import MAX_ORDER, Graph, _ascii_ints, _text_lines, component_neighbourhoods, iter_bits, vertex_set
@@ -23,14 +22,18 @@ FaceDarts = tuple[Dart, ...]
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """A cyclic neighbor order at every vertex; ``graph`` joins each vertex to its row.
+    """A connected graph embedded on the sphere: a cyclic neighbor order at
+    every vertex, and ``graph`` joins each vertex to its row.
 
     Each row must name vertices in range, and ``Graph`` checks that the rows
-    are loop-free and symmetric, so the one check left is that no row
-    repeats a neighbor."""
+    are loop-free and symmetric, so the one row check left is that no row
+    repeats a neighbor.  The faces are traced once, here, and
+    ``_face_darts`` refuses a disconnected graph and any rotation that breaks
+    Euler's formula, so every instance is a connected sphere embedding."""
 
     rot: tuple[tuple[int, ...], ...]
     graph: Graph = field(init=False, compare=False)
+    _faces: tuple[FaceDarts, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rot = tuple(tuple(row) for row in self.rot)
@@ -45,15 +48,17 @@ class RotationSystem:
                 raise ValueError(f"rotation at {v} is not a permutation of its neighbors")
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "graph", g)
-
-    @cached_property
-    def _faces(self) -> tuple[FaceDarts, ...]:
-        """The faces as dart cycles in trace order, traced on first use and kept."""
-        return tuple(_face_darts(self))
+        object.__setattr__(self, "_faces", tuple(_face_darts(self)))
 
 
 def _face_darts(system: RotationSystem) -> list[FaceDarts]:
-    """Trace all faces as directed dart cycles; checks Euler's formula."""
+    """Trace all faces as directed dart cycles.
+
+    A rotation describes a sphere embedding exactly when its graph is
+    connected and n - m + f = 2; both are checked here."""
+    g = system.graph
+    if len(component_neighbourhoods(g.adj, g.vertex_mask)) > 1:
+        raise ValueError("rotation system of a disconnected graph")
     rot = system.rot
     succ = {}
     for v, row in enumerate(rot):
@@ -62,7 +67,7 @@ def _face_darts(system: RotationSystem) -> list[FaceDarts]:
             succ[(v, u)] = (v, row[(i + 1) % d])
     seen: set[Dart] = set()
     out: list[FaceDarts] = []
-    for u in range(system.graph.order):
+    for u in range(g.order):
         for v in rot[u]:
             if (u, v) in seen:
                 continue
@@ -73,27 +78,33 @@ def _face_darts(system: RotationSystem) -> list[FaceDarts]:
                 cycle.append(cur)
                 cur = succ[(cur[1], cur[0])]
             out.append(tuple(cycle))
-    n = system.graph.order
-    m = system.graph.size
-    if n - m + len(out) != 2:
-        raise ValueError(
-            f"face trace gives n-m+f = {n - m + len(out)}, expected 2"
-        )
+    euler = g.order - g.size + len(out)
+    if euler != 2:
+        raise ValueError(f"face trace gives n-m+f = {euler}, expected 2")
     return out
 
 
 @dataclass(frozen=True)
 class PlaneTriangulation:
-    """A rotation system all of whose faces are triangles, plus an outer face."""
+    """A rotation system all of whose faces are triangles, plus an outer face.
+
+    One count recognises the triangles.  The embedding is connected, simple
+    and on the sphere, so n - m + f = 2.  At order n >= 3 every face has at
+    least 3 darts: there are no loops, and a face of 2 darts (u, v), (v, u)
+    gives u and v degree 1, so the connected graph is that one edge.  So
+    2m >= 3f = 3(2 - n + m), that is m <= 3n - 6, with equality exactly when
+    every face is a triangle.  Below order 3 the count never holds: at n = 1
+    it asks m = -3, and at n = 2 it asks m = 0, a disconnected graph.
+    """
 
     embedding: RotationSystem
     outer_face: tuple[int, int, int]
 
     def __post_init__(self):
-        face_list = self.embedding._faces
-        if any(len(f) != 3 for f in face_list):
+        g = self.embedding.graph
+        if g.size != 3 * g.order - 6:
             raise ValueError("embedding has a non-triangular face")
-        if _match_face(face_list, self.outer_face) is None:
+        if _match_face(self.embedding._faces, self.outer_face) is None:
             raise ValueError(f"{self.outer_face} is not a face of the embedding")
 
     @property
@@ -112,16 +123,9 @@ def _match_face(face_list: Iterable[FaceDarts], triple: Sequence[int]) -> Option
 def reroot(tri: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
     """Re-designate the outer face; on the sphere any face qualifies.
 
-    ``tri`` was checked when it was built, so only the new face is: it must
-    be a traced face.
-    """
-    face = tuple(face)
-    if _match_face(tri.embedding._faces, face) is None:
-        raise ValueError(f"{face} is not a face of the embedding")
-    rooted = object.__new__(PlaneTriangulation)
-    object.__setattr__(rooted, "embedding", tri.embedding)
-    object.__setattr__(rooted, "outer_face", face)
-    return rooted
+    The embedding traced its faces when it was built, so this costs one
+    edge count and one face match."""
+    return PlaneTriangulation(tri.embedding, tuple(face))
 
 
 def face_containing_edge(system: RotationSystem, u: int, v: int) -> tuple[int, ...]:

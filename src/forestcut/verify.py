@@ -468,15 +468,7 @@ def run_check(claim: str, corpus: Iterable[Graph], description: str = "corpus",
 
 
 # ---------------------------------------------------------------------------
-# census and audit
-
-
-def figure1_census(n: int) -> list[Graph]:
-    """All 3-connected graphs of order n in {6, 7} with m < 11n/5 - 18/5."""
-    if n not in (6, 7):
-        raise ValueError(f"census is defined for n in {{6, 7}}, got {n}")
-    theorem2 = CLAIMS["theorem2"].density
-    return [g for g in enumerate_connected_graphs(n) if sparse_k_connected(g, theorem2, 3)]
+# audit
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
+from forestcut import cli
 from forestcut.constructions import conjecture2_family, fixture
-from forestcut.graph import Graph, build_graph, component_neighbourhoods, is_connected
+from forestcut.graph import Graph, build_graph, component_neighbourhoods, is_connected, parse_graph6
 
 # The 3-connected graphs on 7 vertices with m < 11n/5 - 18/5.  All three have
 # m = 11 and degree sequence 3^6 4^1: the planar fixtures fig1_c and fig1_d,
@@ -24,6 +27,17 @@ ORDER8_CONJECTURE2_FLAGS = ("GJ]KlK", "GJem^_", "GLYR[{", "GxSW~K")
 def census7_expected() -> list[Graph]:
     """The expected 7-vertex census: fig1_c, fig1_d, then the non-planar graph."""
     return [fixture("fig1_c"), fixture("fig1_d"), build_graph(7, CENSUS7_NONPLANAR_EDGES)]
+
+
+def census(n: int) -> list[Graph]:
+    """The sparse 3-connected graphs of order n (m < 11n/5 - 18/5), as
+    ``forestcut enumerate`` prints them with the census filters."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.run(["enumerate", "--n", str(n), "--min-connectivity", "3",
+                        "--max-edges-lt", "11/5n-18/5"])
+    assert code == 0
+    return [parse_graph6(line) for line in out.getvalue().splitlines()]
 
 
 def symmetric_graphs() -> dict[str, Graph]:

@@ -49,10 +49,9 @@ from forestcut.planar import (
 from forestcut.verify import (
     canonical_graph6,
     enumerate_connected_graphs,
-    figure1_census,
     run_check,
 )
-from conftest import census7_expected
+from conftest import census, census7_expected
 from test_lp import enumerate_basic_feasible_minimum
 
 
@@ -82,14 +81,14 @@ def small_corpus():
 
 def test_criterion_1_figure1_reproduction():
     with criterion(1, "census reproduction", 60):
-        census6 = figure1_census(6)
+        census6 = census(6)
         assert len(census6) == 2
         assert sorted(canonical_graph6(g) for g in census6) == sorted(
             canonical_graph6(fixture(name)) for name in ("fig1_a", "fig1_b")
         )
         # exactly fig1_c, fig1_d and the non-planar third graph: all three
         # 3-connected graphs on 7 vertices with 11 < 11.8 edges
-        census7 = figure1_census(7)
+        census7 = census(7)
         assert sorted(canonical_graph6(g) for g in census7) == sorted(
             canonical_graph6(g) for g in census7_expected()
         )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ORDER8_CONJECTURE2_FLAGS
+from test_planar import TRIANGLE_AND_ISOLATED_VERTEX, toroidal_k7_beside_k4
 from forestcut import cli
 from forestcut.constructions import conjecture2_family, cycle_diagonals_universal, fixture
 from forestcut.graph import parse_graph6, write_graph6
@@ -612,6 +613,18 @@ class TestPlanarCutCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rot", [toroidal_k7_beside_k4(), TRIANGLE_AND_ISOLATED_VERTEX],
+                             ids=["toroidal-k7-beside-k4", "triangle-and-isolated-vertex"])
+    def test_disconnected_rotation_exit_2(self, capsys, monkeypatch, rot):
+        # every face of the toroidal K7 beside K4 is a triangle and m = 3n - 6
+        lines = [str(len(rot))] + [f"{v}: " + " ".join(map(str, row)) for v, row in enumerate(rot)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code = cli.run(["planar-cut", "--input", "-", "--edge", "7,8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: rotation system of a disconnected graph\n"
 
     def test_bad_header_exit_2(self, capsys, tmp_path):
         path = tmp_path / "header.rot"

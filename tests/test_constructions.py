@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,42 @@ class TestConjecture2Family:
     def test_too_small(self):
         with pytest.raises(ValueError, match="needs k >= 1"):
             conjecture2_family(0)
+
+
+# Builds one family in a child process whose address space is capped at
+# 1 GiB, so an eager edge list fails there with MemoryError instead of
+# filling the machine, and prints the error and the peak traced allocation.
+ORDER_CAP_PROBE = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from forestcut import constructions
+tracemalloc.start()
+try:
+    getattr(constructions, sys.argv[1])(*map(int, sys.argv[2:]))
+except ValueError as exc:
+    print(exc)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+class TestOrderCap:
+    @pytest.mark.parametrize("family, args, order", [
+        ("cycle_diagonals_universal", (10**9,), 2 * 10**9 + 1),
+        ("k3_band_cycle", (10**9, 5), 10**9),
+        ("conjecture2_family", (10**9,), 3 * 10**9 + 4),
+    ])
+    def test_refused_before_any_edge_is_made(self, family, args, order):
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", ORDER_CAP_PROBE, family, *map(str, args)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        message, peak = run.stdout.splitlines()
+        assert message == f"order {order} exceeds 128"
+        assert int(peak) < 1 << 20
 
 
 class TestCliqueGlue:

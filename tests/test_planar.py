@@ -45,6 +45,45 @@ def c4_system():
     return RotationSystem(((1, 3), (2, 0), (3, 1), (0, 2)))
 
 
+def toroidal_k7_beside_k4():
+    """K7 on the torus (14 triangles) beside a plane K4 (4 triangles): n = 11,
+    m = 27 = 3n - 6, every face a triangle and n - m + f = 2, yet the graph is
+    disconnected, so this is no sphere embedding."""
+    k7 = [tuple((i + s) % 7 for s in (1, 3, 2, 6, 4, 5)) for i in range(7)]
+    k4 = [tuple(7 + u for u in row) for row in k4_triangulation().embedding.rot]
+    return tuple(k7 + k4)
+
+
+TRIANGLE_AND_ISOLATED_VERTEX = ((1, 2), (2, 0), (0, 1), ())
+
+
+def count_rule_accepts(system):
+    """Whether ``PlaneTriangulation`` takes the system, rooted at its first face."""
+    try:
+        PlaneTriangulation(system, tuple(d[0] for d in system._faces[0]))
+    except ValueError as exc:
+        assert str(exc) == "embedding has a non-triangular face"
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def count_rule_matches_face_scan(monkeypatch):
+    """After each test, every rotation system it built: the edge count
+    ``PlaneTriangulation`` decides by agrees with the per-face reference."""
+    built = []
+    post_init = RotationSystem.__post_init__
+
+    def recorded(system):
+        post_init(system)
+        built.append(system)
+
+    monkeypatch.setattr(RotationSystem, "__post_init__", recorded)
+    yield
+    for system in built:
+        assert count_rule_accepts(system) == is_plane_triangulation(system)
+
+
 def inside_by_face_walk(tri, xy, q_verts):
     """Reference for Prop. 1's inside test: walk face adjacency.
 
@@ -146,6 +185,37 @@ class TestFaces:
     def test_vertex_out_of_range_names_its_row(self, vertex):
         with pytest.raises(ValueError, match=f"^rotation at 1 names vertex {vertex} outside 0..1$"):
             RotationSystem(((1,), (0, vertex)))
+
+
+class TestSphereEmbedding:
+    @pytest.mark.parametrize("rot", [toroidal_k7_beside_k4(), TRIANGLE_AND_ISOLATED_VERTEX],
+                             ids=["toroidal-k7-beside-k4", "triangle-and-isolated-vertex"])
+    def test_disconnected_graph_refused(self, rot):
+        with pytest.raises(ValueError, match="^rotation system of a disconnected graph$"):
+            RotationSystem(rot)
+
+    def test_toroidal_k7_alone_breaks_euler(self):
+        with pytest.raises(ValueError, match=r"^face trace gives n-m\+f = 0, expected 2$"):
+            RotationSystem(toroidal_k7_beside_k4()[:7])
+
+    def test_count_rule_on_every_connected_planar_graph_of_order_3_to_7(self):
+        nx = pytest.importorskip("networkx")
+        graphs = 0
+        accepted = dict.fromkeys(range(3, 8), 0)
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if n < 3 or not nx.is_connected(h):
+                continue
+            is_planar, emb = nx.check_planarity(h)
+            if not is_planar:
+                continue
+            system = RotationSystem(tuple(tuple(emb.neighbors_cw_order(v)) for v in range(n)))
+            graphs += 1
+            accepted[n] += count_rule_accepts(system)
+            assert count_rule_accepts(system) == is_plane_triangulation(system)
+        # connected planar graphs (OEIS A003094) and maximal planar ones (A000109)
+        assert graphs == 2 + 6 + 20 + 99 + 646
+        assert accepted == {3: 1, 4: 1, 5: 1, 6: 2, 7: 5}
 
 
 class TestIsPlaneTriangulation:
@@ -468,22 +538,24 @@ class TestReroot:
             moved = reroot(t, f)
             assert moved.outer_face == f
 
-    def test_non_face_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("(0, 1) is not a face of the embedding")):
-            reroot(k4_triangulation(), (0, 1))
-        t = stack_vertex(k4_triangulation(), (0, 3, 1))
+    def test_non_face_rejected(self, monkeypatch):
+        k4 = k4_triangulation()
+        t = stack_vertex(k4, (0, 3, 1))
         present = {frozenset(f) for f in faces(t.embedding)}
         missing = next(
             c for c in combinations(range(5), 3) if frozenset(c) not in present
         )
-        with pytest.raises(ValueError, match=re.escape(f"{missing} is not a face of the embedding")) as exc:
+        # the embedding was traced when built; reroot only matches the face
+        monkeypatch.setattr(planar, "_face_darts",
+                            lambda system: pytest.fail("reroot traced the embedding again"))
+        with pytest.raises(ValueError, match=re.escape("(0, 1) is not a face of the embedding")):
+            reroot(k4, (0, 1))
+        with pytest.raises(ValueError, match=re.escape(f"{missing} is not a face of the embedding")):
             reroot(t, missing)
-        # the triangulation was checked when built; reroot checks only the face
-        assert exc.traceback[-1].name == "reroot"
 
     def test_checks_only_the_new_face(self, monkeypatch):
         t = random_stacked_triangulation(30, 4)
         expected = [PlaneTriangulation(t.embedding, f) for f in faces(t.embedding)]
-        monkeypatch.setattr(PlaneTriangulation, "__post_init__",
-                            lambda self: pytest.fail("reroot checked the whole embedding"))
+        monkeypatch.setattr(planar, "_face_darts",
+                            lambda system: pytest.fail("reroot traced the embedding again"))
         assert [reroot(t, f) for f in faces(t.embedding)] == expected

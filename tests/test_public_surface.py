@@ -132,7 +132,6 @@ def test_one_reader_and_no_environment():
 UNCALLED_PUBLIC_NAMES = {
     "stack_vertex": "the test reference for random_stacked_triangulation",
     "triangle_triangulation": "goes once planar.triangulate can build the triangle (ROADMAP direction 1)",
-    "figure1_census": "acceptance criterion 1 reproduces Figure 1 from it",
 }
 
 
@@ -155,3 +154,20 @@ def test_every_public_helper_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert defined - used == set(UNCALLED_PUBLIC_NAMES)
+
+
+def test_one_constructor_bypass():
+    """``Graph._trusted`` is the one place that builds an object without its
+    constructor and so without the constructor's checks."""
+    found = []
+    for path in sorted((ROOT / "src" / "forestcut").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for fn in ast.walk(tree):  # outer scopes first, so the innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update({id(node): fn.name for node in ast.walk(fn)})
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(f"{path.name}:{scope.get(id(node), '<module>')}")
+    assert found == ["graph.py:_trusted"]

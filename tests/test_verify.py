@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import ORDER8_CONJECTURE2_FLAGS, census7_expected, components, symmetric_graphs
+from conftest import ORDER8_CONJECTURE2_FLAGS, census, census7_expected, components, symmetric_graphs
 from forestcut import verify
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut import cuts, graph
@@ -34,7 +34,6 @@ from forestcut.verify import (
     canonical_graph6,
     enumerate_connected_graphs,
     enumerate_graphs,
-    figure1_census,
     ingest_graph6,
     run_check,
     sparse_k_connected,
@@ -721,20 +720,20 @@ class TestIngestedCorpusWorkflow:
 
 class TestFigure1Census:
     def test_order6(self):
-        census = figure1_census(6)
-        assert len(census) == 2
-        got = sorted(canonical_graph6(g) for g in census)
+        graphs = census(6)
+        assert len(graphs) == 2
+        got = sorted(canonical_graph6(g) for g in graphs)
         want = sorted(canonical_graph6(fixture(n)) for n in ("fig1_a", "fig1_b"))
         assert got == want
 
     def test_order7(self):
         # exactly fig1_c, fig1_d and the non-planar third graph; the atlas
         # oracle below re-derives the same set
-        census = figure1_census(7)
-        got = sorted(canonical_graph6(g) for g in census)
+        graphs = census(7)
+        got = sorted(canonical_graph6(g) for g in graphs)
         want = sorted(canonical_graph6(g) for g in census7_expected())
         assert got == want
-        for g in census:
+        for g in graphs:
             assert g.size == 11
             assert find_forest_cut(g) is not None
 
@@ -742,17 +741,13 @@ class TestFigure1Census:
         from forestcut.graph import vertex_set
 
         for n in (6, 7):
-            for g in figure1_census(n):
+            for g in census(n):
                 assert Fraction(g.size) < Fraction(11, 5) * n - Fraction(18, 5)
                 assert min(g.degree(v) for v in range(n)) >= 3
                 for size in (1, 2):
                     for comb in combinations(range(n), size):
                         s = vertex_set(comb)
                         assert len(components(g, g.vertex_mask & ~s)) == 1
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError, match=r"census is defined for n in \{6, 7\}, got 8"):
-            figure1_census(8)
 
 
 def _to_networkx(nx, g):
@@ -790,7 +785,7 @@ class TestFigure1CensusNetworkxOracle:
         nx = pytest.importorskip("networkx")
         atlas = _atlas_census(nx, n)
         assert len(atlas) == count
-        got = [_to_networkx(nx, g) for g in figure1_census(n)]
+        got = [_to_networkx(nx, g) for g in census(n)]
         assert _same_graphs_up_to_isomorphism(nx, got, atlas)
 
     def test_expected_order7_matches_atlas(self):
