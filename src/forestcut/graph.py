@@ -18,8 +18,9 @@ MAX_ORDER = 128
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 _ASCII_TOKEN = re.compile(f"[^{_ASCII_WHITESPACE}]+")
 
-# graph6 data byte -> its six bits, most significant first
+# graph6 data byte -> its six bits, most significant first, and back
 _SIX_BITS = {byte: format(byte - 63, "06b") for byte in range(63, 127)}
+_SIX_BITS.update({bits: chr(byte) for byte, bits in _SIX_BITS.items()})
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -136,25 +137,19 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def write_graph6(g: Graph) -> str:
     """Encode in standard graph6: the short form up to order 62, and above
-    it the long form, ``~`` then the order in three 6-bit bytes."""
+    it the long form, ``~`` then the order in three 6-bit bytes.  The body
+    is the column word ``parse_graph6`` reads, six bits to a byte."""
     n = g.order
     if n > 62:
-        out = ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
+        head = "~" + chr(63 + (n >> 12)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
     else:
-        out = [chr(63 + n)]
-    buf = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            buf = buf << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + buf))
-                buf = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (buf << (6 - nbits))))
-    return "".join(out)
+        head = chr(63 + n)
+    word = 0
+    for j in range(n - 1, 0, -1):
+        word = word << j | g.adj[j] & ((1 << j) - 1)
+    nbits = (n * (n - 1) // 2 + 5) // 6 * 6  # the pairs, padded to whole bytes
+    bits = format(word, f"0{nbits}b")[::-1]
+    return head + "".join(_SIX_BITS[bits[k:k + 6]] for k in range(0, nbits, 6))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -88,6 +88,11 @@ class LpInstance:
             raise ValueError(f"row {bad.row_id!r} references undeclared variables")
 
 
+# The programs grow linearly in n: lp --n 100000 takes about 5 s and 240 MB,
+# so a larger n could exhaust memory.
+_MAX_N = 10_000
+
+
 def _primal_variables(n: int) -> tuple[list[str], list[str]]:
     deg_vars = [f"n_{i}" for i in range(4, n)]
     split_vars = [f"n_4^{j}" for j in range(5, n)]
@@ -98,6 +103,8 @@ def build_primal(n: int) -> LpInstance:
     """Minimum edge count over degree profiles with the five count constraints."""
     if n < 8:
         raise ValueError(f"the program needs n >= 8, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"the program needs n <= {_MAX_N}, got {n}")
     deg_vars, split_vars = _primal_variables(n)
     variables = tuple(deg_vars + split_vars + ["n_4^6'", "n_4^6''"])
     objective = {f"n_{i}": Fraction(i, 2) for i in range(4, n)}
@@ -201,6 +208,8 @@ def build_dual(n: int) -> LpInstance:
     """The dual program, transcribed directly; row ids name the primal variable."""
     if n < 8:
         raise ValueError(f"the program needs n >= 8, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"the program needs n <= {_MAX_N}, got {n}")
     variables = ("x_1", "x_2", "x_3", "x_4", *map(_y_name, range(5, n)))
     rows = [
         LpRow("n_4", {"x_1": ONE, "x_2": ONE, "x_4": Fraction(-2)}, "<=", Fraction(2)),
@@ -245,6 +254,8 @@ def certificate_dual_point(n: int) -> DualPoint:
     """The explicit feasible dual certificate with objective 11n/5."""
     if n < 8:
         raise ValueError(f"the certificate is defined for n >= 8, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"the certificate is defined for n <= {_MAX_N}, got {n}")
     y = {5: Fraction(2, 35), 6: Fraction(4, 35)}
     y.update(dict.fromkeys(range(7, n), Fraction(6, 35)))
     return DualPoint(
@@ -387,6 +398,8 @@ def solve_primal_exact(n: int) -> Fraction:
     """
     if n < 8:
         raise ValueError(f"the program needs n >= 8, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"the program needs n <= {_MAX_N}, got {n}")
     primal = build_primal(n)
     point = primal_optimum_point(n)
     report = check_feasible(primal, point)

@@ -336,9 +336,8 @@ def parse_rotation_system(text: str) -> RotationSystem:
             row = tuple(_ascii_ints(tail))
         except ValueError:
             raise ValueError(f"bad rotation line {ln!r}") from None
-        for u in (v, *row):
-            if not 0 <= u < n:
-                raise ValueError(f"vertex {u} outside 0..{n - 1}")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
         if rot[v] is not None:
             raise ValueError(f"vertex {v} listed twice")
         rot[v] = row

@@ -168,7 +168,7 @@ def _canonical_rows(
 
 def canonical_form(g: Graph) -> Graph:
     """Isomorphic copy relabeled into canonical position."""
-    return Graph(g.order, _canonical_rows(g.adj)[0])
+    return Graph._trusted(g.order, _canonical_rows(g.adj)[0])
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -209,7 +209,7 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, list[list[int]]], ...]:
     starts from those cells.
     """
     if n == 1:
-        return ((Graph(1, (0,)), []),)
+        return ((Graph._trusted(1, (0,)), []),)
     classes = []
     for g, autos in _graph_classes(n - 1):
         # the parent's vertices of degree at least j, for j = 0..n
@@ -239,7 +239,7 @@ def _graph_classes(n: int) -> tuple[tuple[Graph, list[list[int]]], ...]:
             m = next(i for i, r in enumerate(rows) if r.bit_count() == k)
             if _closure(1 << m, gens, 1 << m) >> pos[g.order] & 1:
                 classes.append((rows, gens))
-    return tuple((Graph(n, rows), gens) for rows, gens in sorted(classes))
+    return tuple((Graph._trusted(n, rows), gens) for rows, gens in sorted(classes))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

@@ -63,8 +63,9 @@ def components(g: Graph, within: int) -> list[int]:
 def assert_validated(g: Graph) -> None:
     """``g`` is the graph the validating constructor builds from its rows.
 
-    parse_graph6, build_graph, delete_edge and induced_subgraph build their
-    rows themselves and skip Graph's checks; this runs them after the fact.
+    parse_graph6, build_graph, delete_edge, induced_subgraph, the enumeration
+    and canonical_form build their rows themselves and skip Graph's checks;
+    this runs them after the fact.
     """
     assert type(g.adj) is tuple
     assert Graph(g.order, g.adj) == g

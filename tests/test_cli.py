@@ -597,7 +597,7 @@ class TestPlanarCutCommand:
         path = tmp_path / "row.rot"
         path.write_text("2\n0: 1 -1\n1: 0\n")
         assert cli.run(["planar-cut", "--input", str(path), "--edge", "0,1"]) == 2
-        assert capsys.readouterr().err == "error: vertex -1 outside 0..1\n"
+        assert capsys.readouterr().err == "error: rotation at 0 names vertex -1 outside 0..1\n"
 
     @pytest.mark.parametrize("text, message", [
         # K4 minus the edge 1-3: the face 0 1 2 3 is a quadrilateral
@@ -659,6 +659,13 @@ class TestLpCommand:
         assert code == 0
         assert lines[-1] == "objective-bound 22"
         assert len(calls) == 1
+
+    def test_order_above_the_bound_exit_2(self, capsys):
+        # refused before any row is built, so no memory error can exit 1
+        assert cli.run(["lp", "--n", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the certificate is defined for n <= 10000, got 100000000\n"
 
     def test_infeasible_certificate_exits_1(self, capsys, monkeypatch):
         from forestcut import lp

@@ -209,6 +209,27 @@ def bitwise_parse_graph6(text: str) -> Graph:
     return Graph(n, adj)
 
 
+def bitwise_write_graph6(g: Graph) -> str:
+    """Reference for ``write_graph6``: its earlier encoder, one vertex pair at
+    a time, six bits to a byte and the last byte padded with zeros."""
+    n = g.order
+    if n > 62:
+        out = ["~", chr(63 + (n >> 12)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
+    else:
+        out = [chr(63 + n)]
+    buf = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            buf = buf << 1 | (g.adj[i] >> j & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + buf))
+                buf = nbits = 0
+    if nbits:
+        out.append(chr(63 + (buf << (6 - nbits))))
+    return "".join(out)
+
+
 def perfbench_corpus_lines(seed: int) -> list[str]:
     """The graph6 lines of the benchmark's corpus-sweep input for ``seed``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -281,6 +302,31 @@ class TestColumnwiseDecode:
     def test_first_bad_byte_is_named(self):
         with pytest.raises(ValueError, match="data byte 127 outside 63..126"):
             parse_graph6("G?\x7f?!?")
+
+
+class TestColumnwiseEncode:
+    """write_graph6 writes the column word parse_graph6 reads; it must write
+    every graph exactly as the pair-at-a-time loop."""
+
+    def test_every_graph_up_to_order_7(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                assert write_graph6(g) == bitwise_write_graph6(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_graphs_of_orders_1_to_128(self, seed):
+        rng = random.Random(seed)
+        for n in range(1, 129):
+            p = rng.random()
+            g = build_graph(n, [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p])
+            assert write_graph6(g) == bitwise_write_graph6(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 62, 63, 64, 128])
+    def test_empty_and_complete_graphs(self, n):
+        # 62 and 63 end the short form and start the long one; a complete
+        # graph sets every pair bit and none of the padding
+        for g in (build_graph(n, []), build_graph(n, combinations(range(n), 2))):
+            assert write_graph6(g) == bitwise_write_graph6(g)
 
 
 class TestTrustedConstruction:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -407,6 +408,30 @@ class TestSolvePrimalExact:
                 rows=valid + (LpRow("r", {"x": F(1), "ghost": F(1)}, "<=", F(0)),) + valid,
                 nonnegative=frozenset(("x",)),
             )
+
+
+class TestOrderBound:
+    """An n above lp._MAX_N is refused on entry, before any row is built."""
+
+    @pytest.mark.parametrize("build", [build_primal, build_dual, certificate_dual_point,
+                                       solve_primal_exact])
+    def test_huge_n_refused_in_constant_memory(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r" n <= 10000, got 100000000$") as exc:
+                build(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.traceback[-1].name == build.__name__
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("build", [build_primal, build_dual, certificate_dual_point])
+    def test_bound_is_the_last_order_built(self, build):
+        assert lp._MAX_N == 10_000
+        build(lp._MAX_N)
+        with pytest.raises(ValueError, match=f"got {lp._MAX_N + 1}$"):
+            build(lp._MAX_N + 1)
 
 
 class TestWeakDualityProperty:

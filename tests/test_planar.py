@@ -513,7 +513,9 @@ class TestRotationFiles:
 
     @pytest.mark.parametrize("line, vertex", [("0: 1 -1", -1), ("0: 1 2", 2), ("-1: 0", -1)])
     def test_vertex_out_of_range_named(self, line, vertex):
-        with pytest.raises(ValueError, match=f"^vertex {vertex} outside 0..1$"):
+        # the parser names a listed vertex out of range, RotationSystem a row entry
+        where = "" if line.startswith(f"{vertex}:") else "rotation at 0 names "
+        with pytest.raises(ValueError, match=f"^{where}vertex {vertex} outside 0..1$"):
             parse_rotation_system(f"2\n{line}\n1: 0\n")
 
     @pytest.mark.parametrize("header", ["x", "2.5", "3 4", "-2", "\u0664"])

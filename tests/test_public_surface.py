@@ -171,3 +171,38 @@ def test_one_constructor_bypass():
                     and isinstance(node.value, ast.Name) and node.value.id == "object"):
                 found.append(f"{path.name}:{scope.get(id(node), '<module>')}")
     assert found == ["graph.py:_trusted"]
+
+
+
+def enclosing_names(tree: ast.AST) -> dict[int, str]:
+    """id of each node -> the dotted name of the classes and functions around
+    it, ``<module>`` at the top level."""
+    names = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            names[id(child)] = name or "<module>"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+            else:
+                visit(child, name)
+
+    visit(tree, "")
+    return names
+
+
+def test_one_validated_graph_constructor():
+    """The validating ``Graph(...)`` is called in src/ only where rows come
+    from outside the package: a rotation system's, from a rotation file or a
+    library caller.  Rows the package builds itself go through
+    ``Graph._trusted``."""
+    found = []
+    for path in sorted((ROOT / "src" / "forestcut").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = enclosing_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Graph":
+                    found.append(f"{path.name}:{names[id(node)]}")
+    assert found == ["planar.py:RotationSystem.__post_init__"]
