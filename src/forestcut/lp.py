@@ -13,12 +13,15 @@ Programs hold Fractions or ints; points hold Fractions or ints.  Each LpRow
 is compiled to integers once, when it is built: a common denominator, the
 coefficients scaled by it, and the scaled rhs.  check_feasible scales the
 point once to a common denominator, so every row costs one integer
-multiply-add per term; a RowCheck's lhs and slack are exact Fractions built
-when read.
+multiply-add per term, and it decides every row before it returns.  The
+report keeps one scaled lhs per row and builds a row's RowCheck only when
+the row is read; a RowCheck's lhs and slack are exact Fractions built when
+read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -286,6 +289,8 @@ class RowCheck(NamedTuple):
     so a satisfied inequality has slack >= 0.  den > 0 is a common
     denominator of the row's lhs and rhs; the two exact Fractions are
     built only when read, and a zero reads as the shared ``ZERO``.
+    check_feasible decides every row in its call and keeps only the row's
+    lhs; its report builds the RowCheck when the row is read.
     """
 
     row_id: str
@@ -305,19 +310,73 @@ class RowCheck(NamedTuple):
         return Fraction(self.slack_num, self.den) if self.slack_num else ZERO
 
 
+class _RowChecks(Sequence):
+    """The RowChecks of one report, each built when it is read.
+
+    It holds the program's rows, each row's lhs times ``row.den * scale``
+    and the point's scale.  len and truth build nothing; an item, a slice
+    or an iteration builds its RowChecks from those integers, so the
+    sequence equals, and hashes as, the tuple of them.
+    """
+
+    __slots__ = ("_rows", "_lhs", "_scale")
+
+    def __init__(self, rows: tuple[LpRow, ...], lhs: list[int], scale: int):
+        self._rows, self._lhs, self._scale = rows, lhs, scale
+
+    def _build(self, rows, lhss):
+        scale = self._scale
+        # tuple.__new__ builds the same RowCheck without the namedtuple's
+        # Python-level __new__, which is a call frame per row
+        new_check = tuple.__new__
+        for r, lhs in zip(rows, lhss):
+            rhs = r.rhs_num * scale
+            relation = r.relation
+            slack = lhs - rhs if relation == ">=" else rhs - lhs
+            ok = slack == 0 if relation == "=" else slack >= 0
+            yield new_check(RowCheck, (r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale))
+
+    def __len__(self) -> int:
+        return len(self._lhs)
+
+    def __iter__(self):
+        return self._build(self._rows, self._lhs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._build(self._rows[i], self._lhs[i]))
+        return next(self._build((self._rows[i],), (self._lhs[i],)))
+
+    def __eq__(self, other):
+        if isinstance(other, _RowChecks):
+            other = tuple(other)
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
-    rows: tuple[RowCheck, ...]
-    bound_violations: tuple[str, ...] = field(default=())
+    """check_feasible's verdict on one point.
 
-    @property
-    def feasible(self) -> bool:
-        return not self.bound_violations and all(r.satisfied for r in self.rows)
+    feasible holds when every row is satisfied and no variable lies below
+    its sign bound; check_feasible decides both before it returns.  rows
+    holds one RowCheck per row of the program, in its order, each built
+    when it is read.
+    """
+
+    rows: _RowChecks
+    bound_violations: tuple[str, ...]
+    feasible: bool
 
     def row(self, row_id: str) -> RowCheck:
-        for r in self.rows:
+        for k, r in enumerate(self.rows._rows):
             if r.row_id == row_id:
-                return r
+                return self.rows[k]
         raise KeyError(row_id)
 
 
@@ -328,7 +387,8 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
     denominator, each distinct value object once.  Each row carries its
     integer form from when it was built, so a row costs one integer
     multiply-add per term, and each row and each sign bound is decided over
-    integers.  No Fraction is built here: the
+    integers here.  The report keeps each row's scaled lhs and builds a
+    row's RowCheck only when it is read; no Fraction is built here.  The
     8..1000 certificate sweeps evaluate about a million rows, and most
     callers read only ``feasible``.
     """
@@ -351,24 +411,25 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
             f"point value of {bad!r} must be an int or a Fraction, got {value!r}"
         ) from None
     scaled = dict(zip(variables, map(num.__getitem__, map(id, values))))
-    checks = []
-    # tuple.__new__ builds the same RowCheck without the namedtuple's
-    # Python-level __new__, which is a call frame per row
-    new_check = tuple.__new__
+    lhss = []
+    satisfied = True
     for r in instance.rows:
         # lhs and rhs are the row's two sides times r.den * scale
         lhs = 0
         for v, c in r.terms:
             lhs += c * scaled[v]
+        lhss.append(lhs)
         rhs = r.rhs_num * scale
         relation = r.relation
         slack = lhs - rhs if relation == ">=" else rhs - lhs
-        ok = slack == 0 if relation == "=" else slack >= 0
-        checks.append(new_check(RowCheck, (r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale)))
+        if not (slack == 0 if relation == "=" else slack >= 0):
+            satisfied = False
     bad_bounds = tuple(
         v for v in variables if v in instance.nonnegative and scaled[v] < 0
     )
-    return FeasibilityReport(tuple(checks), bad_bounds)
+    return FeasibilityReport(
+        _RowChecks(instance.rows, lhss, scale), bad_bounds, satisfied and not bad_bounds
+    )
 
 
 def objective_value(instance: LpInstance, point: Mapping[str, Fraction]) -> Fraction:

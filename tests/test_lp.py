@@ -3,6 +3,7 @@ import pickle
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -12,6 +13,7 @@ from forestcut.lp import (
     DualPoint,
     LpInstance,
     LpRow,
+    RowCheck,
     build_dual,
     build_primal,
     check_feasible,
@@ -39,6 +41,52 @@ def dual_variable_names(n):
     for j in range(7, n):
         names[f"deg{j}-capacity"] = f"y_{j}"
     return names
+
+
+def eager_check_feasible(instance, point):
+    """The reference for check_feasible's rows: every RowCheck built in the call.
+
+    This is check_feasible's row loop as it was before the report built its
+    RowChecks when read; it returns the tuple of RowChecks and the
+    variables below their sign bound.
+    """
+    variables = instance.variables
+    values = [point[v] for v in variables]
+    distinct = dict(zip(map(id, values), values))
+    scale = lcm(*[p.denominator for p in distinct.values()])
+    num = {k: p.numerator * (scale // p.denominator) for k, p in distinct.items()}
+    scaled = dict(zip(variables, map(num.__getitem__, map(id, values))))
+    checks = []
+    new_check = tuple.__new__
+    for r in instance.rows:
+        lhs = 0
+        for v, c in r.terms:
+            lhs += c * scaled[v]
+        rhs = r.rhs_num * scale
+        relation = r.relation
+        slack = lhs - rhs if relation == ">=" else rhs - lhs
+        ok = slack == 0 if relation == "=" else slack >= 0
+        checks.append(new_check(RowCheck, (r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale)))
+    bad_bounds = tuple(v for v in variables if v in instance.nonnegative and scaled[v] < 0)
+    return tuple(checks), bad_bounds
+
+
+def fields_and_types(checks):
+    """Each RowCheck's fields, with the types of its rhs, lhs and slack."""
+    return [
+        (type(c), tuple(c), type(c.rhs), c.lhs, type(c.lhs), c.slack, type(c.slack))
+        for c in checks
+    ]
+
+
+def assert_matches_eager(instance, point):
+    report = check_feasible(instance, point)
+    checks, bad_bounds = eager_check_feasible(instance, point)
+    assert fields_and_types(report.rows) == fields_and_types(checks)
+    assert tuple(report.rows) == checks
+    assert report.bound_violations == bad_bounds
+    assert report.feasible == (not bad_bounds and all(c.satisfied for c in checks))
+    return report
 
 
 def mechanical_dual(primal, dual_names):
@@ -312,6 +360,139 @@ class TestCheckFeasible:
         point["x_4"] = value
         with pytest.raises(ValueError, match="point value of 'x_4' must be an int or a Fraction"):
             check_feasible(build_dual(9), point)
+
+
+def moved_dual_point(n, **change):
+    """The certificate at n with some x block values, or y_j values, replaced."""
+    point = certificate_dual_point(n)
+    y = {**point.y, **change.pop("y", {})}
+    fields = {"x1": point.x1, "x2": point.x2, "x3": point.x3, "x4": point.x4, **change}
+    return DualPoint(y=y, **fields).assignment()
+
+
+def moved_primal_point(n, change):
+    """primal_optimum_point(n) with each variable in change moved by its amount."""
+    point = primal_optimum_point(n)
+    for v, amount in change.items():
+        point[v] += amount
+    return point
+
+
+class TestRowsMatchEagerLoop:
+    """tuple(report.rows) equals the eager loop's RowChecks, field and type."""
+
+    def test_certificate(self):
+        for n in range(8, 201):
+            assert assert_matches_eager(build_dual(n), certificate_dual_point(n).assignment()).feasible
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"x4": F(-1, 70)}, {"x1": F(3)}, {"y": {7: F(1, 3)}}],
+        ids=["x4=-1/70", "x1=3", "y7=1/3"],
+    )
+    def test_perturbed_certificate(self, change):
+        for n in range(8, 201, 7):
+            report = assert_matches_eager(build_dual(n), moved_dual_point(n, **change))
+            assert not report.feasible
+
+    def test_primal_optima(self):
+        for n in range(8, 65):
+            assert assert_matches_eager(build_primal(n), primal_optimum_point(n)).feasible
+
+    @pytest.mark.parametrize(
+        "instance, point, failed, slack",
+        [
+            (build_dual(9), moved_dual_point(9, y={7: F(1, 3)}), "n_7", F(-17, 15)),
+            (build_primal(12), moved_primal_point(12, {"n_8": F(1)}), "vertex-count", F(-1)),
+            (build_primal(12), moved_primal_point(12, {"n_4^5": F(1), "n_4^7": F(-1)}),
+             "deg5-capacity", F(-3)),
+        ],
+        ids=["<=", "=", ">="],
+    )
+    def test_one_failing_row_of_each_relation(self, instance, point, failed, slack):
+        report = assert_matches_eager(instance, point)
+        assert not report.feasible
+        assert report.bound_violations == ()
+        assert [c.row_id for c in report.rows if not c.satisfied] == [failed]
+        assert report.row(failed).slack == slack
+
+
+class TestRowsSequence:
+    """report.rows reads as the tuple of its RowChecks, built when read."""
+
+    @pytest.fixture
+    def report(self):
+        return check_feasible(build_dual(20), certificate_dual_point(20).assignment())
+
+    @pytest.fixture
+    def eager(self):
+        return eager_check_feasible(build_dual(20), certificate_dual_point(20).assignment())[0]
+
+    def test_len_truth_and_indexing(self, report, eager):
+        rows = report.rows
+        assert len(rows) == len(eager) == 33
+        assert rows
+        assert not check_feasible(LpInstance("empty", "min", ("x",), {}, (), frozenset()),
+                                  {"x": F(1)}).rows
+        for i in (0, 1, 16, 32, -1, -2, -33):
+            assert type(rows[i]) is RowCheck and rows[i] == eager[i]
+        for i in (33, -34, 10**6):
+            with pytest.raises(IndexError):
+                rows[i]
+        for cut in (slice(None), slice(1, 3), slice(-3, None), slice(None, None, -2),
+                    slice(40, 50)):
+            got = rows[cut]
+            assert type(got) is tuple and got == eager[cut]
+            assert all(type(c) is RowCheck for c in got)
+
+    def test_iteration_repeats(self, report, eager):
+        assert tuple(report.rows) == tuple(report.rows) == eager
+        assert list(reversed(report.rows)) == list(reversed(eager))
+        assert eager[5] in report.rows and report.rows.index(eager[5]) == 5
+        assert report.rows == eager and report.rows != list(eager)
+
+    def test_row_by_id(self, report, eager):
+        for c in eager:
+            assert report.row(c.row_id) == c and type(report.row(c.row_id)) is RowCheck
+        with pytest.raises(KeyError, match="n_20"):
+            report.row("n_20")
+
+    def test_equal_reports_hash_pickle_and_copy(self, report):
+        again = check_feasible(build_dual(20), certificate_dual_point(20).assignment())
+        assert again == report and hash(again) == hash(report)
+        assert report.rows == again.rows and hash(report.rows) == hash(tuple(again.rows))
+        other = check_feasible(build_dual(20), moved_dual_point(20, x1=F(3)))
+        assert other != report
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report),
+                       copy.copy(report)):
+            assert copied == report and hash(copied) == hash(report)
+            assert tuple(copied.rows) == tuple(report.rows)
+            assert copied.feasible == report.feasible
+
+    def test_len_truth_and_verdict_build_nothing(self, monkeypatch):
+        report = check_feasible(build_dual(1000), certificate_dual_point(1000).assignment())
+        monkeypatch.setattr(lp, "RowCheck", None)  # building any RowCheck now raises
+        assert len(report.rows) == 1993 and report.rows and report.feasible
+        with pytest.raises(TypeError):
+            report.rows[0]
+
+    def test_report_at_n1000_holds_no_row_checks(self):
+        """check_feasible's report, read for feasible and its length, builds no RowCheck.
+
+        The program and the point are built before the trace starts.  Its
+        peak is 84 kB (the 1,993 scaled lhs and the scaled point); building
+        every RowCheck in the call, as the eager loop does, takes 339 kB.
+        """
+        dual, point = build_dual(1000), certificate_dual_point(1000).assignment()
+        tracemalloc.start()
+        try:
+            report = check_feasible(dual, point)
+            feasible, size = report.feasible, len(report.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feasible and size == 1993
+        assert peak < 160_000
 
 
 class TestWeakDuality:
