@@ -63,14 +63,17 @@ class CutWitness:
 
 def witness_is_valid(g: Graph, w: CutWitness) -> bool:
     """Revalidate a witness from scratch; a kind other than forest or
-    independent is refused."""
+    independent, or a vertex outside G, is refused."""
     holds = {FOREST: induced_is_forest, INDEPENDENT: is_independent_set}.get(w.kind)
-    if holds is None or not is_vertex_cut(g, w.cut) or not holds(g, w.cut):
+    n = g.order
+    if holds is None or not is_vertex_cut(g, w.cut) or w.cut & ~g.vertex_mask:
         return False
+    if not (holds(g, w.cut) and 0 <= w.rep_a < n and 0 <= w.rep_b < n):
+        return False
+    # two distinct representatives outside the cut, in two components
+    reps = 1 << w.rep_a | 1 << w.rep_b
     comps = component_neighbourhoods(g.adj, g.vertex_mask & ~w.cut)
-    loc_a = [i for i, (c, _) in enumerate(comps) if c >> w.rep_a & 1]
-    loc_b = [i for i, (c, _) in enumerate(comps) if c >> w.rep_b & 1]
-    return len(loc_a) == 1 and len(loc_b) == 1 and loc_a != loc_b
+    return sum(1 for c, _ in comps if c & reps) == 2
 
 
 def _make_witness(cut: int, comps: list[int], kind: str) -> CutWitness:

@@ -348,10 +348,7 @@ def is_vertex_cut(g: Graph, s: int) -> bool:
     """
     if not is_connected(g):
         raise ValueError("cut predicates require a connected graph")
-    rest = g.vertex_mask & ~s
-    if rest == 0:
-        return False
-    return len(component_neighbourhoods(g.adj, rest)) >= 2
+    return len(component_neighbourhoods(g.adj, g.vertex_mask & ~s)) >= 2
 
 
 def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
@@ -385,8 +382,6 @@ def masks_of_size(n: int, k: int) -> Iterator[int]:
     """All k-subsets of {0..n-1} as bit sets, in ascending numeric order."""
     if k == 0:
         yield 0
-        return
-    if k > n:
         return
     mask = (1 << k) - 1
     top = 1 << n

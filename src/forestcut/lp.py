@@ -86,8 +86,8 @@ class LpInstance:
         declared = frozenset(self.variables)
         if not declared.issuperset(self.objective):
             raise ValueError("objective references undeclared variables")
-        if not declared.issuperset(set().union(*[r.coeffs for r in self.rows])):
-            bad = next(r for r in self.rows if not declared.issuperset(r.coeffs))
+        bad = next((r for r in self.rows if not declared.issuperset(r.coeffs)), None)
+        if bad is not None:
             raise ValueError(f"row {bad.row_id!r} references undeclared variables")
 
 
@@ -96,20 +96,25 @@ class LpInstance:
 _MAX_N = 10_000
 
 
-def _primal_variables(n: int) -> tuple[list[str], list[str]]:
-    deg_vars = [f"n_{i}" for i in range(4, n)]
-    split_vars = [f"n_4^{j}" for j in range(5, n)]
-    return deg_vars, split_vars
+def _check_order(n: int, what: str) -> None:
+    """Refuse an order outside 8.._MAX_N; ``what`` opens the message."""
+    if n < 8:
+        raise ValueError(f"{what} n >= 8, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"{what} n <= {_MAX_N}, got {n}")
+
+
+def _primal_variables(n: int) -> tuple[str, ...]:
+    """n_4..n_{n-1}, then n_4^5..n_4^{n-1}, then n_4^6' and n_4^6''."""
+    splits = [f"n_4^{j}" for j in range(5, n)]
+    return (*[f"n_{i}" for i in range(4, n)], *splits, "n_4^6'", "n_4^6''")
 
 
 def build_primal(n: int) -> LpInstance:
     """Minimum edge count over degree profiles with the five count constraints."""
-    if n < 8:
-        raise ValueError(f"the program needs n >= 8, got {n}")
-    if n > _MAX_N:
-        raise ValueError(f"the program needs n <= {_MAX_N}, got {n}")
-    deg_vars, split_vars = _primal_variables(n)
-    variables = tuple(deg_vars + split_vars + ["n_4^6'", "n_4^6''"])
+    _check_order(n, "the program needs")
+    variables = _primal_variables(n)
+    deg_vars, split_vars = variables[: n - 4], variables[n - 4 : -2]
     objective = {f"n_{i}": Fraction(i, 2) for i in range(4, n)}
     rows = [
         LpRow("vertex-count", {v: Fraction(1) for v in deg_vars}, "=", Fraction(n)),
@@ -172,7 +177,7 @@ def profile_point(g: Graph) -> dict[str, int]:
     degree 6.  A degree-4 vertex with no neighbour of degree 5 or more counts
     in ``n_4`` only, so the point fails the ``deg4-partition`` row.
     """
-    point = dict.fromkeys(build_primal(max(g.order, 8)).variables, 0)
+    point = dict.fromkeys(_primal_variables(max(g.order, 8)), 0)
     degs = [g.degree(v) for v in range(g.order)]
     for v, d in enumerate(degs):
         if d < 4:
@@ -209,17 +214,13 @@ def _dual_split_row(j: int) -> LpRow:
 
 def build_dual(n: int) -> LpInstance:
     """The dual program, transcribed directly; row ids name the primal variable."""
-    if n < 8:
-        raise ValueError(f"the program needs n >= 8, got {n}")
-    if n > _MAX_N:
-        raise ValueError(f"the program needs n <= {_MAX_N}, got {n}")
+    _check_order(n, "the program needs")
     variables = ("x_1", "x_2", "x_3", "x_4", *map(_y_name, range(5, n)))
     rows = [
         LpRow("n_4", {"x_1": ONE, "x_2": ONE, "x_4": Fraction(-2)}, "<=", Fraction(2)),
         LpRow("n_5", {"x_1": ONE, "x_4": Fraction(5), "y_5": Fraction(4)}, "<=", Fraction(5, 2)),
-        LpRow("n_6", {"x_1": ONE, "x_4": Fraction(6), "y_6": Fraction(6)}, "<=", Fraction(3)),
     ]
-    rows.extend(map(_dual_degree_row, range(7, n)))
+    rows.extend(map(_dual_degree_row, range(6, n)))
     rows.append(LpRow("n_4^5", {"x_2": NEG_ONE, "y_5": Fraction(-3)}, "<=", ZERO))
     rows.append(LpRow("n_4^6", {"x_2": NEG_ONE, "x_3": ONE}, "<=", ZERO))
     rows.extend(map(_dual_split_row, range(7, n)))
@@ -255,10 +256,7 @@ class DualPoint:
 
 def certificate_dual_point(n: int) -> DualPoint:
     """The explicit feasible dual certificate with objective 11n/5."""
-    if n < 8:
-        raise ValueError(f"the certificate is defined for n >= 8, got {n}")
-    if n > _MAX_N:
-        raise ValueError(f"the certificate is defined for n <= {_MAX_N}, got {n}")
+    _check_order(n, "the certificate is defined for")
     y = {5: Fraction(2, 35), 6: Fraction(4, 35)}
     y.update(dict.fromkeys(range(7, n), Fraction(6, 35)))
     return DualPoint(
@@ -276,7 +274,8 @@ def primal_optimum_point(n: int) -> dict[str, Fraction]:
     In fifteenths of n: 11 vertices of degree 4, 3 of degree 5, 1 of degree 7;
     4 of the degree-4 ones have a degree-5 top neighbour, 7 a degree-7 one.
     """
-    point = dict.fromkeys(build_primal(n).variables, ZERO)
+    _check_order(n, "the program needs")
+    point = dict.fromkeys(_primal_variables(n), ZERO)
     k = Fraction(n, 15)
     point.update({"n_4": 11 * k, "n_5": 3 * k, "n_7": k, "n_4^5": 4 * k, "n_4^7": 7 * k})
     return point
@@ -457,10 +456,6 @@ def solve_primal_exact(n: int) -> Fraction:
     duality the optimum is at least n*x1.  Both are checked exactly here,
     and the two bounds must meet.
     """
-    if n < 8:
-        raise ValueError(f"the program needs n >= 8, got {n}")
-    if n > _MAX_N:
-        raise ValueError(f"the program needs n <= {_MAX_N}, got {n}")
     primal = build_primal(n)
     point = primal_optimum_point(n)
     report = check_feasible(primal, point)

@@ -454,9 +454,20 @@ class TestWitnessIsValid:
         pytest.param(C6, CutWitness(0b1001, 1, 4, "acyclic"), id="unknown-kind"),
         pytest.param(fixture("octahedron"), CutWitness(0b110110, 0, 3, "acyclic"),
                      id="unknown-kind-cycle"),
+        pytest.param(C6, CutWitness(0b1001 | 1 << 6, 1, 4, "forest"), id="cut-bit-at-order"),
+        pytest.param(C6, CutWitness(0b1001 | ~C6.vertex_mask, 1, 4, "forest"),
+                     id="negative-cut"),
+        pytest.param(C6, CutWitness(0b1001, -1, 4, "forest"), id="negative-representative"),
+        pytest.param(C6, CutWitness(0b1001, 1, 6, "independent"),
+                     id="representative-outside"),
     ])
     def test_rejected(self, g, witness):
         assert not witness_is_valid(g, witness)
+
+    def test_disconnected_graph_rejected(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="cut predicates require a connected graph"):
+            witness_is_valid(g, CutWitness(0, 0, 2, "forest"))
 
     def test_edge_cut_is_a_forest_witness(self):
         # the diamond's {0, 1} is rejected above only for its kind

@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from forestcut import lp
+from forestcut import lp, verify
 from forestcut.constructions import cycle_diagonals_universal, fixture
 from forestcut.lp import (
     DualPoint,
@@ -194,7 +194,11 @@ class TestBuildPrimal:
     def test_too_small(self):
         with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
             build_primal(7)
-        assert exc.traceback[-1].name == "build_primal"
+        assert [f.name for f in exc.traceback[-2:]] == ["build_primal", "_check_order"]
+
+    def test_variables_stated_once(self):
+        for n in range(8, 65):
+            assert lp._primal_variables(n) == build_primal(n).variables
 
     def test_row_relations(self):
         inst = build_primal(10)
@@ -225,7 +229,14 @@ class TestBuildDual:
     def test_too_small(self):
         with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
             build_dual(7)
-        assert exc.traceback[-1].name == "build_dual"
+        assert [f.name for f in exc.traceback[-2:]] == ["build_dual", "_check_order"]
+
+    def test_n6_row_comes_from_the_degree_family(self):
+        row = build_dual(8).rows[2]
+        assert row is lp._dual_degree_row(6)
+        literal = LpRow("n_6", {"x_1": F(1), "x_4": F(6), "y_6": F(6)}, "<=", F(3))
+        assert row == literal
+        assert (row.den, row.terms, row.rhs_num) == (literal.den, literal.terms, literal.rhs_num)
 
     def test_rows_are_read_only(self):
         row = next(r for r in build_dual(9).rows if r.row_id == "n_7")
@@ -528,7 +539,9 @@ class TestSolvePrimalExact:
     def test_range_rejected(self):
         with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
             solve_primal_exact(7)
-        assert exc.traceback[-1].name == "solve_primal_exact"
+        assert [f.name for f in exc.traceback[-3:]] == [
+            "solve_primal_exact", "build_primal", "_check_order"
+        ]
         assert solve_primal_exact(65) == 143
 
     @pytest.mark.parametrize("n", [*range(8, 65), 65, 100, 1000])
@@ -591,6 +604,32 @@ class TestSolvePrimalExact:
             )
 
 
+class TestPrimalBuiltOnce:
+    @staticmethod
+    def counted_builds(monkeypatch, *modules):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return build_primal(n)
+
+        for module in modules:
+            monkeypatch.setattr(module, "build_primal", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_solve_primal_exact(self, monkeypatch, n):
+        calls = self.counted_builds(monkeypatch, lp)
+        assert solve_primal_exact(n) == F(11 * n, 5)
+        assert calls == [n]
+
+    @pytest.mark.parametrize("name, size", [("icosahedron", 12), ("octahedron", 8)])
+    def test_audit_claim_inequalities(self, monkeypatch, name, size):
+        calls = self.counted_builds(monkeypatch, lp, verify)
+        audit_claim_inequalities(fixture(name))
+        assert calls == [size]
+
+
 class TestOrderBound:
     """An n above lp._MAX_N is refused on entry, before any row is built."""
 
@@ -604,7 +643,9 @@ class TestOrderBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exc.traceback[-1].name == build.__name__
+        via = ["build_primal"] if build is solve_primal_exact else []
+        frames = [f.name for f in exc.traceback[-len(via) - 2:]]
+        assert frames == [build.__name__, *via, "_check_order"]
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("build", [build_primal, build_dual, certificate_dual_point])

@@ -206,3 +206,17 @@ def test_one_validated_graph_constructor():
                 if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Graph":
                     found.append(f"{path.name}:{names[id(node)]}")
     assert found == ["planar.py:RotationSystem.__post_init__"]
+
+
+def test_one_order_check():
+    """``lp._MAX_N`` is read only in ``lp._check_order``, the one test of the
+    order range 8.._MAX_N that every program and certificate passes on entry."""
+    found = set()
+    for path in sorted((ROOT / "src" / "forestcut").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = enclosing_names(tree)
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "_MAX_N" and isinstance(node.ctx, ast.Load):
+                found.add(f"{path.name}:{names[id(node)]}")
+    assert found == {"lp.py:_check_order"}
