@@ -14,9 +14,9 @@ is compiled to integers once, when it is built: a common denominator, the
 coefficients scaled by it, and the scaled rhs.  check_feasible scales the
 point once to a common denominator, so every row costs one integer
 multiply-add per term, and it decides every row before it returns.  The
-report keeps one scaled lhs per row and builds a row's RowCheck only when
-the row is read; a RowCheck's lhs and slack are exact Fractions built when
-read.
+report keeps the program's rows and one scaled lhs per row; its rows is a
+sequence view that builds a row's RowCheck each time the row is read, and
+a RowCheck's lhs and slack are exact Fractions built when read.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -289,7 +290,7 @@ class RowCheck(NamedTuple):
     denominator of the row's lhs and rhs; the two exact Fractions are
     built only when read, and a zero reads as the shared ``ZERO``.
     check_feasible decides every row in its call and keeps only the row's
-    lhs; its report builds the RowCheck when the row is read.
+    lhs; its report builds a RowCheck each time the row is read.
     """
 
     row_id: str
@@ -309,53 +310,25 @@ class RowCheck(NamedTuple):
         return Fraction(self.slack_num, self.den) if self.slack_num else ZERO
 
 
-class _RowChecks(Sequence):
-    """The RowChecks of one report, each built when it is read.
+class _Rows(Sequence):
+    """A report's RowChecks by int position; len builds none, an item builds one."""
 
-    It holds the program's rows, each row's lhs times ``row.den * scale``
-    and the point's scale.  len and truth build nothing; an item, a slice
-    or an iteration builds its RowChecks from those integers, so the
-    sequence equals, and hashes as, the tuple of them.
-    """
+    __slots__ = ("_report",)
 
-    __slots__ = ("_rows", "_lhs", "_scale")
-
-    def __init__(self, rows: tuple[LpRow, ...], lhs: list[int], scale: int):
-        self._rows, self._lhs, self._scale = rows, lhs, scale
-
-    def _build(self, rows, lhss):
-        scale = self._scale
-        # tuple.__new__ builds the same RowCheck without the namedtuple's
-        # Python-level __new__, which is a call frame per row
-        new_check = tuple.__new__
-        for r, lhs in zip(rows, lhss):
-            rhs = r.rhs_num * scale
-            relation = r.relation
-            slack = lhs - rhs if relation == ">=" else rhs - lhs
-            ok = slack == 0 if relation == "=" else slack >= 0
-            yield new_check(RowCheck, (r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale))
+    def __init__(self, report: FeasibilityReport):
+        self._report = report
 
     def __len__(self) -> int:
-        return len(self._lhs)
+        return len(self._report._lhs)
 
-    def __iter__(self):
-        return self._build(self._rows, self._lhs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._build(self._rows[i], self._lhs[i]))
-        return next(self._build((self._rows[i],), (self._lhs[i],)))
-
-    def __eq__(self, other):
-        if isinstance(other, _RowChecks):
-            other = tuple(other)
-        return tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    def __getitem__(self, i: int) -> RowCheck:
+        report = self._report
+        i = index(i)  # a slice raises TypeError
+        r, lhs, scale = report._program[i], report._lhs[i], report._scale
+        rhs = r.rhs_num * scale
+        slack = lhs - rhs if r.relation == ">=" else rhs - lhs
+        ok = slack == 0 if r.relation == "=" else slack >= 0
+        return RowCheck(r.row_id, r.relation, r.rhs, ok, lhs, slack, r.den * scale)
 
 
 @dataclass(frozen=True)
@@ -363,17 +336,25 @@ class FeasibilityReport:
     """check_feasible's verdict on one point.
 
     feasible holds when every row is satisfied and no variable lies below
-    its sign bound; check_feasible decides both before it returns.  rows
-    holds one RowCheck per row of the program, in its order, each built
-    when it is read.
+    its sign bound; check_feasible decides both before it returns.  The
+    report keeps the program's rows, each row's lhs times ``row.den *
+    scale`` and the point's scale, so reports of one program at one point
+    compare and hash equal.  rows reads one RowCheck per row of the
+    program, in its order, each built when it is read.
     """
 
-    rows: _RowChecks
-    bound_violations: tuple[str, ...]
     feasible: bool
+    bound_violations: tuple[str, ...]
+    _program: tuple[LpRow, ...] = field(repr=False, hash=False)
+    _lhs: list[int] = field(repr=False, hash=False)
+    _scale: int = field(repr=False)
+
+    @property
+    def rows(self) -> Sequence[RowCheck]:
+        return _Rows(self)
 
     def row(self, row_id: str) -> RowCheck:
-        for k, r in enumerate(self.rows._rows):
+        for k, r in enumerate(self._program):
             if r.row_id == row_id:
                 return self.rows[k]
         raise KeyError(row_id)
@@ -426,9 +407,7 @@ def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> Feasi
     bad_bounds = tuple(
         v for v in variables if v in instance.nonnegative and scaled[v] < 0
     )
-    return FeasibilityReport(
-        _RowChecks(instance.rows, lhss, scale), bad_bounds, satisfied and not bad_bounds
-    )
+    return FeasibilityReport(satisfied and not bad_bounds, bad_bounds, instance.rows, lhss, scale)
 
 
 def objective_value(instance: LpInstance, point: Mapping[str, Fraction]) -> Fraction:
