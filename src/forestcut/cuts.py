@@ -16,12 +16,11 @@ filters pass, connected or not.  On K_n the walk yields nothing, as every
 G - N[v] is empty, so every query gives an empty result for K_n without a
 test of its own.
 
-The walk searches G - X once for each distinct excluded set X and reads
-from that one search both the new sets and whether each is a minimal cut,
-with the components of G - S; it searches nothing else.  It tests each set
-as it finds it, so a finder that stops at its first hit computes nothing
-after it, and a graph with no forest cut costs one search per distinct
-excluded set.
+The walk searches G - X once per distinct excluded set X and reads from it
+the new sets, whether each is a minimal cut, and (``_make_witness``) the
+witness of the one cut a finder returns.  It tests each set as it finds it,
+so a finder that stops at its first hit computes nothing after it, and a
+graph with no forest cut costs one search per distinct excluded set.
 """
 
 from __future__ import annotations
@@ -76,11 +75,14 @@ def witness_is_valid(g: Graph, w: CutWitness) -> bool:
     return sum(1 for c, _ in comps if c & reps) == 2
 
 
-def _make_witness(cut: int, comps: list[int], kind: str) -> CutWitness:
-    """The witness for ``cut``, given the components of G - cut."""
-    rep_a = (comps[0] & -comps[0]).bit_length() - 1
-    rep_b = (comps[1] & -comps[1]).bit_length() - 1
-    return CutWitness(cut, rep_a, rep_b, kind)
+def _make_witness(g: Graph, cut: int, comps: list[tuple[int, int]], kind: str) -> CutWitness:
+    """A minimal cut's witness, from the search that met it: G - cut has the
+    searched components whose N(C) is the cut, and the rest, if not empty.
+    The representatives are the lowest vertices of the two lowest."""
+    full = [c for c, nbr in comps if nbr == cut]
+    rest = g.vertex_mask & ~cut & ~sum(full)  # disjoint, so the sum is the union
+    low_a, low_b = sorted(c & -c for c in [*full, rest] if c)[:2]
+    return CutWitness(cut, low_a.bit_length() - 1, low_b.bit_length() - 1, kind)
 
 
 def _require_connected(g: Graph) -> None:
@@ -93,7 +95,10 @@ def _require_connected(g: Graph) -> None:
 
 
 def find_forest_cut_exhaustive(g: Graph) -> Optional[CutWitness]:
-    """Scan all subsets by size, then bit pattern; first forest cut wins."""
+    """Scan all subsets by size, then bit pattern; the first forest cut S
+    wins.  S is inclusion-minimal, as a cut inside it is a smaller forest
+    cut, so each component C of G - S sees all of S (else S - v separates C
+    from the v it misses): the search of G - S is the witness, with no rest."""
     _require_connected(g)
     if g.order > EXHAUSTIVE_ORDER_CAP:
         raise ValueError(f"exhaustive search capped at {EXHAUSTIVE_ORDER_CAP} vertices")
@@ -104,13 +109,13 @@ def find_forest_cut_exhaustive(g: Graph) -> Optional[CutWitness]:
         for s in masks_of_size(n, size):
             comps = component_neighbourhoods(adj, full & ~s)
             if len(comps) >= 2 and induced_is_forest(g, s):
-                return _make_witness(s, [c for c, _ in comps], FOREST)
+                return _make_witness(g, s, comps, FOREST)
     return None
 
 
-def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
+def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Stream every inclusion-minimal vertex cut S of a graph exactly once,
-    with the components of G - S.
+    with the search of G - X that met it, as ``component_neighbourhoods`` gave it.
 
     Close-neighbourhood expansion (Berry, Bordat and Cogis, IJFCS 11, 2000):
     the minimal separators are the neighbourhoods N_i = N(C_i) of the
@@ -163,13 +168,8 @@ def _minimal_separators(g: Graph) -> Iterator[tuple[int, list[int]]]:
                 continue
             seen.add(s)
             found.append(s)
-            if any(nbr != s and nbr | s == s for _, nbr in comps):
-                continue
-            full_comps = [c for c, nbr in comps if nbr == s]
-            d = full & ~s
-            for c in full_comps:
-                d &= ~c
-            yield s, sorted([*full_comps, d], key=lambda c: c & -c)
+            if not any(nbr != s and nbr | s == s for _, nbr in comps):
+                yield s, comps
 
 
 def enumerate_minimal_separators(g: Graph) -> Iterator[int]:
@@ -201,7 +201,7 @@ def _first_cut(g: Graph, accept: Callable[[int], bool], kind: str) -> Optional[C
     """The first minimal separator the walk meets that ``accept`` takes, as a witness."""
     for s, comps in _minimal_separators(g):
         if accept(s):
-            return _make_witness(s, comps, kind)
+            return _make_witness(g, s, comps, kind)
     return None
 
 

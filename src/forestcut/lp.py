@@ -56,6 +56,8 @@ class LpRow:
     rhs_num: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.relation not in ("=", "<=", ">="):
+            raise ValueError(f"row {self.row_id!r} has relation {self.relation!r}; use '=', '<=' or '>='")
         coeffs = MappingProxyType(dict(self.coeffs))
         values = [self.rhs, *coeffs.values()]
         bad = [c for c in values if not isinstance(c, (int, Fraction))]

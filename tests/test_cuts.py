@@ -17,7 +17,9 @@ from forestcut.constructions import (
     k3_band_cycle,
 )
 from forestcut.cuts import (
+    FOREST,
     CutWitness,
+    _make_witness,
     _minimal_separators,
     all_minimal_forest_cuts,
     enumerate_minimal_separators,
@@ -222,12 +224,13 @@ class TestMinimalSeparators:
         )
 
     def test_walk_yields_the_components_of_g_minus_s(self):
-        # the finders build their witnesses from these lists
+        # the finders build their witnesses from the search the walk yields
         for g in pinned_graphs():
             for s, comps in _minimal_separators(g):
-                assert comps == components(g, g.vertex_mask & ~s)
-                assert len(comps) >= 2
-                assert all(open_neighbourhood(g, c) == s for c in comps)
+                want = components(g, g.vertex_mask & ~s)
+                assert len(want) >= 2
+                assert all(open_neighbourhood(g, c) == s for c in want)
+                assert _make_witness(g, s, comps, FOREST) == witness_of(s, want)
 
     def test_disconnected_graphs_yield_the_empty_set_alone(self):
         # the claims walk disconnected graphs: every excluded set lies in one
@@ -238,7 +241,8 @@ class TestMinimalSeparators:
                 if not is_connected(g):
                     walk = list(_minimal_separators(g))
                     assert [s for s, _ in walk] == [0]
-                    assert walk[0][1] == components(g, g.vertex_mask)
+                    want = witness_of(0, components(g, g.vertex_mask))
+                    assert _make_witness(g, 0, walk[0][1], FOREST) == want
                     walked += 1
         assert walked == 256
 
@@ -277,8 +281,20 @@ def two_search_walk(g):
                 yield s, sorted([comp, *(c for c, _ in rest)], key=lambda c: c & -c)
 
 
+def witness_of(s, comps):
+    """The witness named by the sorted components of G - s: the lowest
+    vertices of the first two."""
+    low_a, low_b = (c & -c for c in comps[:2])
+    return CutWitness(s, low_a.bit_length() - 1, low_b.bit_length() - 1, FOREST)
+
+
 def assert_walk_matches_two_search_walk(g):
-    assert list(_minimal_separators(g)) == list(two_search_walk(g))
+    walk = list(_minimal_separators(g))
+    reference = list(two_search_walk(g))
+    assert [s for s, _ in walk] == [s for s, _ in reference]
+    assert [_make_witness(g, s, comps, FOREST) for s, comps in walk] == [
+        witness_of(s, comps) for s, comps in reference
+    ]
 
 
 class TestWalkMatchesTwoSearchWalk:

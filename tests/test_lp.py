@@ -284,6 +284,20 @@ class TestLpRow:
         with pytest.raises(ValueError, match="row 'r' holds .*; coefficients and rhs must be ints or Fractions"):
             LpRow("r", coeffs, "<=", rhs)
 
+    @pytest.mark.parametrize("relation", [">", "<", "==", "=<", "", "≤"])
+    def test_unknown_relation_rejected(self, relation):
+        # read as "<=", "x > 5" would be certified at x = 0
+        match = f"row 'r' has relation {relation!r}; use '=', '<=' or '>='"
+
+        class Pickled:  # the unpickle path of a row calls LpRow(...) too
+            def __reduce__(self):
+                return LpRow, ("r", {"x": F(1)}, relation, F(5))
+
+        with pytest.raises(ValueError, match=match):
+            LpRow("r", {"x": F(1)}, relation, F(5))
+        with pytest.raises(ValueError, match=match):
+            pickle.loads(pickle.dumps(Pickled()))
+
 
 class TestCertificateDualPoint:
     def test_values(self):
