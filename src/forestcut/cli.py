@@ -123,7 +123,13 @@ _GEN_FAMILIES = {
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     build, dests = _GEN_FAMILIES[args.family]
-    values = [getattr(args, dest) for dest in dests]
+    given = {dest: getattr(args, dest) for _, family in _GEN_FAMILIES.values() for dest in family}
+    stray = [dest for dest, value in given.items() if value is not None and dest not in dests]
+    if stray:
+        raise ValueError(f"--family {args.family} does not take --{stray[0].replace('_', '-')}")
+    if given["seed"] is None:  # only --family stacked takes a seed, and it defaults to 0
+        given["seed"] = 0
+    values = [given[dest] for dest in dests]
     if None in values:
         option = "--" + dests[values.index(None)].replace("_", "-")
         raise ValueError(f"--family {args.family} needs {option}")
@@ -208,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--c", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="seed for --family stacked")
+    p.add_argument("--seed", type=int, default=None, help="seed for --family stacked (default 0)")
     p.add_argument("--a", default=None, help="glue operand fixture")
     p.add_argument("--b", default=None, help="glue operand fixture")
     p.add_argument("--clique-a", default=None, help="comma-separated clique in operand a")

@@ -104,48 +104,32 @@ def clique_glue(g1: Graph, g2: Graph, spec: GlueSpec) -> Graph:
     return build_graph(g1.order + g2.order - t, edges)
 
 
-def _k33() -> Graph:
-    return build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
-
-
-def _prism() -> Graph:
-    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
-    return build_graph(6, edges)
-
-
-def _wheel5() -> Graph:
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, 4) for i in range(4)]
-    return build_graph(5, edges)
-
-
-# Four of the five sparse 3-connected graphs on 6 and 7 vertices (m < 11n/5 - 18/5),
-# as edge lists: both graphs on 6 vertices and the two planar graphs on 7.
-# The fifth, a non-planar graph on 7 vertices, is not pictured.
-_FIG1_A = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5)]
-_FIG1_B = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 3), (1, 5), (5, 2), (4, 5)]
-_FIG1_C = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 5), (5, 3), (2, 6), (6, 1), (0, 4), (4, 5), (4, 6)]
-_FIG1_D = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 6), (6, 4), (3, 6), (6, 5), (5, 2), (1, 5)]
-
-_FIXTURES = {
-    "k4": lambda: k4_triangulation().graph,
-    "k33": _k33,
-    "prism": _prism,
-    "octahedron": lambda: octahedron_triangulation().graph,
-    "icosahedron": lambda: icosahedron_triangulation().graph,
-    "wheel5": _wheel5,
-    "fig1_a": lambda: build_graph(6, _FIG1_A),
-    "fig1_b": lambda: build_graph(6, _FIG1_B),
-    "fig1_c": lambda: build_graph(7, _FIG1_C),
-    "fig1_d": lambda: build_graph(7, _FIG1_D),
+# name -> (order, edges).  fig1_a..fig1_d are four of the five sparse 3-connected graphs on
+# 6 and 7 vertices (m < 11n/5 - 18/5): both graphs on 6 vertices and the two planar graphs
+# on 7.  The fifth, a non-planar graph on 7 vertices, is not pictured.
+_EDGE_FIXTURES = {
+    "k33": (6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "prism": (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]),
+    "wheel5": (5, [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, 4) for i in range(4)]),
+    "fig1_a": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5)]),
+    "fig1_b": (6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 3), (1, 5), (5, 2), (4, 5)]),
+    "fig1_c": (7, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 5), (5, 3), (2, 6), (6, 1), (0, 4), (4, 5), (4, 6)]),
+    "fig1_d": (7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 6), (6, 4), (3, 6), (6, 5), (5, 2), (1, 5)]),
 }
 
-FIXTURE_NAMES = tuple(sorted(_FIXTURES))
+_TRIANGULATION_FIXTURES = {
+    "k4": k4_triangulation,
+    "octahedron": octahedron_triangulation,
+    "icosahedron": icosahedron_triangulation,
+}
+
+FIXTURE_NAMES = tuple(sorted(_EDGE_FIXTURES | _TRIANGULATION_FIXTURES))
 
 
 def fixture(name: str) -> Graph:
     """Return a named fixture graph (see FIXTURE_NAMES)."""
-    try:
-        maker = _FIXTURES[name]
-    except KeyError:
-        raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}") from None
-    return maker()
+    if name not in FIXTURE_NAMES:
+        raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    if name in _TRIANGULATION_FIXTURES:
+        return _TRIANGULATION_FIXTURES[name]().graph
+    return build_graph(*_EDGE_FIXTURES[name])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import re
 import sys
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 128
@@ -39,15 +40,18 @@ def vertex_set(vertices: Iterable[int]) -> int:
     return mask
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the bit set of neighbors of v."""
 
-    __slots__ = ("order", "adj")
+    order: int
+    adj: tuple[int, ...]
 
-    def __init__(self, order: int, adj: Sequence[int]):
+    def __post_init__(self):
+        order = self.order
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order {order} outside 1..{MAX_ORDER}")
-        adj = tuple(adj)
+        adj = tuple(self.adj)
         if len(adj) != order:
             raise ValueError(f"adjacency has {len(adj)} rows for order {order}")
         full = (1 << order) - 1
@@ -60,7 +64,6 @@ class Graph:
             for u in iter_bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", adj)
 
     @classmethod
@@ -72,15 +75,6 @@ class Graph:
         object.__setattr__(g, "order", order)
         object.__setattr__(g, "adj", tuple(adj))
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.order == other.order and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.adj))
 
     def __reduce__(self):
         # the rows were checked when this graph was built
@@ -277,14 +271,17 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"bad edge-list header {rows[0]!r}") from None
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
-    edges = []
+    edges = {}
     for ln in rows[1:]:
         try:
             u, v = _ascii_ints(ln)
         except ValueError:
             raise ValueError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
-    return build_graph(order, edges)
+        pair = frozenset((u, v))
+        if pair in edges:
+            raise ValueError(f"edge ({u}, {v}) repeats edge {edges[pair]}")
+        edges[pair] = (u, v)
+    return build_graph(order, edges.values())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .graph import MAX_ORDER, Graph, _ascii_ints, _text_lines, component_neighbourhoods, iter_bits, vertex_set
+from .graph import (MAX_ORDER, Graph, _ascii_ints, _text_lines, component_neighbourhoods, is_connected,
+                    iter_bits, vertex_set)
 
 Dart = tuple[int, int]
 FaceDarts = tuple[Dart, ...]
@@ -57,7 +58,7 @@ def _face_darts(system: RotationSystem) -> list[FaceDarts]:
     A rotation describes a sphere embedding exactly when its graph is
     connected and n - m + f = 2; both are checked here."""
     g = system.graph
-    if len(component_neighbourhoods(g.adj, g.vertex_mask)) > 1:
+    if not is_connected(g):
         raise ValueError("rotation system of a disconnected graph")
     rot = system.rot
     succ = {}

@@ -251,11 +251,15 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     yield from (g for g, _ in _graph_classes(n))
 
 
+@lru_cache(maxsize=None)
+def _connected_classes(n: int) -> tuple[Graph, ...]:
+    return tuple(g for g in enumerate_graphs(n) if is_connected(g))
+
+
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """One canonical representative per connected isomorphism class."""
-    for g in enumerate_graphs(n):
-        if is_connected(g):
-            yield g
+    """One canonical representative per connected isomorphism class; the
+    connected classes of each order are decided once, on the first call."""
+    yield from _connected_classes(n)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,7 @@ class TestCheckCommand:
         ("edges", "0 0\n", "order 0 must be positive"),
         ("edges", "11 1\n0 1_0\n", "bad edge line '0 1_0'"),
         ("edges", "3 1\n0\x1c1\n", "bad edge line '0\\x1c1'"),
+        ("edges", "3 2\n0 1\n1 0\n", "edge (1, 0) repeats edge (0, 1)"),
     ])
     def test_input_error_exit_2(self, capsys, monkeypatch, fmt, text, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -522,6 +523,29 @@ class TestGenCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: --family {family} needs {missing}\n"
+
+    @pytest.mark.parametrize(
+        "family, given, stray",
+        [
+            ("fixture", ["--name", "k4", "--k", "5", "--seed", "3"], "--k"),
+            ("gk", ["--k", "1", "--n", "8"], "--n"),
+            ("band", ["--n", "8", "--c", "4", "--name", "k4"], "--name"),
+            ("cdu", ["--k", "3", "--seed", "0"], "--seed"),
+            ("glue", ["--a", "k4", "--b", "k4", "--clique-a", "0,1", "--clique-b", "0,1",
+                      "--c", "3"], "--c"),
+            ("stacked", ["--n", "8", "--clique-b", "0,1"], "--clique-b"),
+        ],
+    )
+    def test_stray_family_option_exit_2(self, capsys, family, given, stray):
+        code = cli.run(["gen", "--family", family, *given])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --family {family} does not take {stray}\n"
+
+    def test_stacked_seed_defaults_to_0(self, capsys):
+        argv = ["gen", "--family", "stacked", "--n", "9"]
+        assert run_lines(capsys, argv) == run_lines(capsys, argv + ["--seed", "0"])
 
     @pytest.mark.parametrize(
         "option, value, want",

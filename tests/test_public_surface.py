@@ -223,15 +223,15 @@ def test_one_order_check():
 
 
 def test_hand_written_equality_only_in_graph():
-    """``__eq__``, ``__hash__`` and ``__repr__`` are written by hand only on
-    ``graph.Graph``; every other class takes them from a dataclass or a
-    NamedTuple, or does without."""
+    """Of ``__eq__``, ``__hash__``, ``__repr__`` and ``__setattr__`` only
+    ``graph.Graph``'s compact ``__repr__`` is written by hand; every class
+    takes the rest from a dataclass or a NamedTuple, or does without."""
     found = set()
     for path in sorted((ROOT / "src" / "forestcut").glob("*.py")):
         tree = ast.parse(path.read_text())
         names = enclosing_names(tree)
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in {"__eq__", "__hash__", "__repr__"}):
+                    and node.name in {"__eq__", "__hash__", "__repr__", "__setattr__"}):
                 found.add(f"{path.name}:{names[id(node)]}.{node.name}")
-    assert found == {"graph.py:Graph.__eq__", "graph.py:Graph.__hash__", "graph.py:Graph.__repr__"}
+    assert found == {"graph.py:Graph.__repr__"}

@@ -202,6 +202,16 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="built-in enumeration covers 1..8, got 9"):
             list(enumerate_graphs(9))
 
+    def test_connectivity_decided_once_per_order(self, monkeypatch):
+        first = list(enumerate_connected_graphs(7))
+        tested = []
+        monkeypatch.setattr(verify, "is_connected", lambda g: tested.append(g) or is_connected(g))
+        assert list(enumerate_connected_graphs(7)) == first
+        assert tested == []
+        beyond = enumerate_connected_graphs(9)  # the cap is checked when the scan starts
+        with pytest.raises(ValueError, match="built-in enumeration covers 1..8, got 9"):
+            next(beyond)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_extensions_per_parent_order_match_a000666(self, n, monkeypatch):
         # one extension per orbit of a parent's group on vertex sets (A000666),
@@ -626,10 +636,12 @@ class TestTrustingClaimPath:
 
     @pytest.mark.parametrize("claim", CLAIM_NAMES)
     def test_builtin_scan_tests_connectivity_once_per_graph(self, claim, monkeypatch):
-        # enumerate_connected_graphs tests each of the 1,044 graphs of order 7;
-        # the claim itself searches no whole graph
-        searches = whole_graph_searches(monkeypatch, lambda: run_check(claim, enumerate_connected_graphs(7)))
-        assert searches == ALL_COUNTS[7]
+        # the first enumerate_connected_graphs(7) tests each of the 1,044 graphs
+        # of order 7 and a later one none; the claim itself searches no whole graph
+        verify._connected_classes.cache_clear()
+        scan = lambda: run_check(claim, enumerate_connected_graphs(7))
+        assert whole_graph_searches(monkeypatch, scan) == ALL_COUNTS[7]
+        assert whole_graph_searches(monkeypatch, scan) == 0
 
     @pytest.mark.parametrize("claim", CLAIM_NAMES)
     def test_connected_corpus_spends_no_search_on_connectivity(self, claim, monkeypatch):
