@@ -48,7 +48,7 @@ def _print_witness(w: cuts.CutWitness | None) -> None:
     if w is None:
         print("NONE")
         return
-    print("witness", *w.vertices())
+    print("witness", *iter_bits(w.cut))
     print("kind", w.kind)
     print("separates", w.rep_a, w.rep_b)
 
@@ -104,10 +104,10 @@ def _parse_vertices(option: str, text: str, count: int | None = None) -> tuple[i
 
 
 def _glue(a: str, b: str, clique_a: str, clique_b: str) -> Graph:
-    spec = constructions.GlueSpec(
-        _parse_vertices("--clique-a", clique_a), _parse_vertices("--clique-b", clique_b)
+    return constructions.clique_glue(
+        constructions.fixture(a), constructions.fixture(b),
+        _parse_vertices("--clique-a", clique_a), _parse_vertices("--clique-b", clique_b),
     )
-    return constructions.clique_glue(constructions.fixture(a), constructions.fixture(b), spec)
 
 
 # each --family of gen: its builder, and the options it is called with as argparse dests

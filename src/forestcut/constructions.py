@@ -8,7 +8,6 @@ an order above ``MAX_ORDER`` is refused before any edge is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .graph import Graph, build_graph
@@ -60,22 +59,6 @@ def conjecture2_family(k: int) -> Graph:
     return build_graph(n, edges)
 
 
-@dataclass(frozen=True)
-class GlueSpec:
-    """Matched clique tuples (length 2, 3, or 4) in the two operands."""
-
-    clique_a: tuple[int, ...]
-    clique_b: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.clique_a) != len(self.clique_b):
-            raise ValueError("clique tuples must have equal length")
-        if not 2 <= len(self.clique_a) <= 4:
-            raise ValueError("gluing is along K2, K3, or K4 only")
-        if len(set(self.clique_a)) != len(self.clique_a) or len(set(self.clique_b)) != len(self.clique_b):
-            raise ValueError("clique tuples must not repeat vertices")
-
-
 def _check_clique(g: Graph, tup: tuple[int, ...], label: str) -> None:
     for u in tup:  # every vertex in range before any adjacency test reads it
         if not 0 <= u < g.order:
@@ -86,14 +69,18 @@ def _check_clique(g: Graph, tup: tuple[int, ...], label: str) -> None:
                 raise ValueError(f"{label}: {u} and {v} are not adjacent")
 
 
-def clique_glue(g1: Graph, g2: Graph, spec: GlueSpec) -> Graph:
-    """Identify the two clique tuples pointwise; edges merge without duplicates."""
-    _check_clique(g1, spec.clique_a, "clique_a")
-    _check_clique(g2, spec.clique_b, "clique_b")
-    t = len(spec.clique_a)
-    remap = {}
-    for a, b in zip(spec.clique_a, spec.clique_b):
-        remap[b] = a
+def clique_glue(g1: Graph, g2: Graph, clique_a: tuple[int, ...], clique_b: tuple[int, ...]) -> Graph:
+    """Identify clique_a in g1 with clique_b in g2 pointwise (K2, K3 or K4);
+    edges merge without duplicates."""
+    if len(clique_a) != len(clique_b):
+        raise ValueError("clique tuples must have equal length")
+    if not 2 <= len(clique_a) <= 4:
+        raise ValueError("gluing is along K2, K3, or K4 only")
+    if len(set(clique_a)) != len(clique_a) or len(set(clique_b)) != len(clique_b):
+        raise ValueError("clique tuples must not repeat vertices")
+    _check_clique(g1, clique_a, "clique_a")
+    _check_clique(g2, clique_b, "clique_b")
+    remap = dict(zip(clique_b, clique_a))
     nxt = g1.order
     for v in range(g2.order):
         if v not in remap:
@@ -101,7 +88,7 @@ def clique_glue(g1: Graph, g2: Graph, spec: GlueSpec) -> Graph:
             nxt += 1
     edges = list(g1.edges())
     edges += [(remap[u], remap[v]) for u, v in g2.edges()]
-    return build_graph(g1.order + g2.order - t, edges)
+    return build_graph(g1.order + g2.order - len(clique_a), edges)
 
 
 # name -> (order, edges).  fig1_a..fig1_d are four of the five sparse 3-connected graphs on

@@ -56,9 +56,6 @@ class CutWitness:
     rep_b: int
     kind: str
 
-    def vertices(self) -> list[int]:
-        return list(iter_bits(self.cut))
-
 
 def witness_is_valid(g: Graph, w: CutWitness) -> bool:
     """Revalidate a witness from scratch; a kind other than forest or

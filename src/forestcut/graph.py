@@ -40,7 +40,7 @@ def vertex_set(vertices: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the bit set of neighbors of v."""
 

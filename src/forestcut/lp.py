@@ -15,8 +15,9 @@ coefficients scaled by it, and the scaled rhs.  check_feasible scales the
 point once to a common denominator, so every row costs one integer
 multiply-add per term, and it decides every row before it returns.  The
 report keeps the program's rows and one scaled lhs per row; its rows is a
-sequence view that builds a row's RowCheck each time the row is read, and
-a RowCheck's lhs and slack are exact Fractions built when read.
+sequence view that builds a row's RowCheck each time the row is read:
+``(row_id, relation, lhs, rhs, slack, satisfied)``, with exact Fraction
+sides and slack.
 """
 
 from __future__ import annotations
@@ -285,31 +286,20 @@ def primal_optimum_point(n: int) -> dict[str, Fraction]:
 
 
 class RowCheck(NamedTuple):
-    """One evaluated row: lhs and slack are lhs_num/den and slack_num/den.
+    """One evaluated row, with exact Fraction sides and slack.
 
     slack is rhs - lhs for "<=" and "=" rows and lhs - rhs for ">=" rows,
-    so a satisfied inequality has slack >= 0.  den > 0 is a common
-    denominator of the row's lhs and rhs; the two exact Fractions are
-    built only when read, and a zero reads as the shared ``ZERO``.
-    check_feasible decides every row in its call and keeps only the row's
-    lhs; its report builds a RowCheck each time the row is read.
+    so a satisfied inequality has slack >= 0.  check_feasible decides every
+    row in its call and keeps only the row's lhs; its report builds a
+    RowCheck each time the row is read.
     """
 
     row_id: str
     relation: str
+    lhs: Fraction
     rhs: Fraction
+    slack: Fraction
     satisfied: bool
-    lhs_num: int
-    slack_num: int
-    den: int
-
-    @property
-    def lhs(self) -> Fraction:
-        return Fraction(self.lhs_num, self.den) if self.lhs_num else ZERO
-
-    @property
-    def slack(self) -> Fraction:
-        return Fraction(self.slack_num, self.den) if self.slack_num else ZERO
 
 
 class _Rows(Sequence):
@@ -327,10 +317,12 @@ class _Rows(Sequence):
         report = self._report
         i = index(i)  # a slice raises TypeError
         r, lhs, scale = report._program[i], report._lhs[i], report._scale
-        rhs = r.rhs_num * scale
+        rhs, den = r.rhs_num * scale, r.den * scale
         slack = lhs - rhs if r.relation == ">=" else rhs - lhs
         ok = slack == 0 if r.relation == "=" else slack >= 0
-        return RowCheck(r.row_id, r.relation, r.rhs, ok, lhs, slack, r.den * scale)
+        # half the certificate's rows read zero, so a zero is the shared ZERO
+        lhs_q = Fraction(lhs, den) if lhs else ZERO
+        return RowCheck(r.row_id, r.relation, lhs_q, r.rhs, Fraction(slack, den) if slack else ZERO, ok)
 
 
 @dataclass(frozen=True)
@@ -354,12 +346,6 @@ class FeasibilityReport:
     @property
     def rows(self) -> Sequence[RowCheck]:
         return _Rows(self)
-
-    def row(self, row_id: str) -> RowCheck:
-        for k, r in enumerate(self._program):
-            if r.row_id == row_id:
-                return self.rows[k]
-        raise KeyError(row_id)
 
 
 def check_feasible(instance: LpInstance, point: Mapping[str, Fraction]) -> FeasibilityReport:
@@ -421,14 +407,6 @@ def _violations(report: FeasibilityReport) -> list[str]:
     return [r.row_id for r in report.rows if not r.satisfied] + list(report.bound_violations)
 
 
-def weak_duality_bound(n: int, point: DualPoint) -> Fraction:
-    """Certified lower bound n*x1 on the primal optimum, after a feasibility check."""
-    report = check_feasible(build_dual(n), point.assignment())
-    if not report.feasible:
-        raise ValueError(f"certificate violates {_violations(report)}")
-    return Fraction(n) * point.x1
-
-
 def solve_primal_exact(n: int) -> Fraction:
     """Exact optimum of the primal program, 11n/5, proved by two certificates.
 
@@ -442,7 +420,11 @@ def solve_primal_exact(n: int) -> Fraction:
     report = check_feasible(primal, point)
     if not report.feasible:
         raise ValueError(f"primal point violates {_violations(report)}")
-    bound = weak_duality_bound(n, certificate_dual_point(n))
+    dual_point = certificate_dual_point(n)
+    report = check_feasible(build_dual(n), dual_point.assignment())
+    if not report.feasible:
+        raise ValueError(f"certificate violates {_violations(report)}")
+    bound = n * dual_point.x1
     value = objective_value(primal, point)
     if value != bound:
         raise ValueError(f"primal objective {value} differs from the dual bound {bound}")

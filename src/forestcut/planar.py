@@ -172,10 +172,6 @@ def k4_triangulation() -> PlaneTriangulation:
     return PlaneTriangulation(RotationSystem(rot), (0, 1, 2))
 
 
-def triangle_triangulation() -> PlaneTriangulation:
-    return PlaneTriangulation(RotationSystem(((1, 2), (2, 0), (0, 1))), (0, 1, 2))
-
-
 def octahedron_triangulation() -> PlaneTriangulation:
     rot = ((1, 2, 4, 5), (0, 5, 3, 2), (0, 1, 3, 4), (1, 5, 4, 2), (0, 2, 3, 5), (0, 4, 3, 1))
     return PlaneTriangulation(RotationSystem(rot), (0, 1, 5))

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from forestcut.constructions import (
-    GlueSpec,
     clique_glue,
     conjecture2_family,
     cycle_diagonals_universal,
@@ -41,10 +40,11 @@ from forestcut.lp import (
     solve_primal_exact,
 )
 from forestcut.planar import (
+    PlaneTriangulation,
+    RotationSystem,
     face_containing_edge,
     prop1_forest_cut,
     reroot,
-    triangle_triangulation,
 )
 from forestcut.verify import (
     canonical_graph6,
@@ -157,17 +157,16 @@ def test_criterion_5_maximal_planar_no_forest_cut(stacked_corpus):
         for tri in stacked_corpus:
             assert 4 <= tri.graph.order <= 10
             assert find_forest_cut_exhaustive(tri.graph) is None
-        glued = clique_glue(
-            fixture("octahedron"), fixture("octahedron"), GlueSpec((0, 1, 2), (0, 1, 2))
-        )
+        glued = clique_glue(fixture("octahedron"), fixture("octahedron"), (0, 1, 2), (0, 1, 2))
         assert glued.order == 9 and glued.size == 21 == 3 * glued.order - 6
         assert find_forest_cut_exhaustive(glued) is None
 
 
 def test_criterion_6_constructive_forest_cut(stacked_corpus):
     with criterion(6, "constructive cut revalidates on every edge", 300):
-        assert prop1_forest_cut(triangle_triangulation(), (0, 1)) == vertex_set([2])
-        assert prop1_forest_cut(triangle_triangulation(), (1, 2)) == vertex_set([0])
+        triangle = PlaneTriangulation(RotationSystem(((1, 2), (2, 0), (0, 1))), (0, 1, 2))
+        assert prop1_forest_cut(triangle, (0, 1)) == vertex_set([2])
+        assert prop1_forest_cut(triangle, (1, 2)) == vertex_set([0])
         for tri in stacked_corpus:
             g = tri.graph
             for u, v in g.edges():

@@ -7,7 +7,12 @@ import pytest
 from conftest import ORDER8_CONJECTURE2_FLAGS
 from test_planar import TRIANGLE_AND_ISOLATED_VERTEX, toroidal_k7_beside_k4
 from forestcut import cli
-from forestcut.constructions import conjecture2_family, cycle_diagonals_universal, fixture
+from forestcut.constructions import (
+    FIXTURE_NAMES,
+    conjecture2_family,
+    cycle_diagonals_universal,
+    fixture,
+)
 from forestcut.graph import parse_graph6, write_graph6
 from forestcut.planar import (
     octahedron_triangulation,
@@ -576,6 +581,20 @@ class TestGenCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: clique_a: vertex {vertex} outside graph\n"
+
+    def test_glue_operands_read_before_clique_shapes(self, capsys):
+        # both fixtures are looked up before clique_glue checks the clique tuples
+        argv = ["gen", "--family", "glue", "--a", "nope", "--b", "k4",
+                "--clique-a", "0,1", "--clique-b", "0,1,2"]
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: unknown fixture 'nope'; choose from {FIXTURE_NAMES}\n"
+        argv[argv.index("nope")] = "k4"
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: clique tuples must have equal length\n"
 
     def test_usage_error_exit_2(self, capsys):
         assert cli.run(["gen", "--family", "nosuch"]) == 2

@@ -20,7 +20,6 @@ from conftest import ORDER8_CONJECTURE2_FLAGS
 from forestcut import cli
 from forestcut.constructions import (
     FIXTURE_NAMES,
-    GlueSpec,
     clique_glue,
     conjecture2_family,
     cycle_diagonals_universal,
@@ -76,7 +75,7 @@ def named_graphs() -> dict:
     graphs.update({f"cdu{k}": cycle_diagonals_universal(k) for k in (3, 4)})
     graphs.update({"band8_4": k3_band_cycle(8, 4), "band9_3": k3_band_cycle(9, 3)})
     octahedron = fixture("octahedron")
-    graphs["glued"] = clique_glue(octahedron, octahedron, GlueSpec((0, 1, 2), (0, 1, 2)))
+    graphs["glued"] = clique_glue(octahedron, octahedron, (0, 1, 2), (0, 1, 2))
     graphs["c7"] = build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
     return graphs
 

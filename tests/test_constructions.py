@@ -8,7 +8,6 @@ import pytest
 
 from forestcut.constructions import (
     FIXTURE_NAMES,
-    GlueSpec,
     clique_glue,
     conjecture2_family,
     cycle_diagonals_universal,
@@ -132,42 +131,43 @@ class TestOrderCap:
 
 class TestCliqueGlue:
     def test_octahedra_on_triangle(self):
-        g = clique_glue(fixture("octahedron"), fixture("octahedron"), GlueSpec((0, 1, 2), (0, 1, 2)))
+        g = clique_glue(fixture("octahedron"), fixture("octahedron"), (0, 1, 2), (0, 1, 2))
         assert g.order == 9 and g.size == 21 == 3 * g.order - 6
 
     def test_k4s_on_triangle(self):
-        g = clique_glue(fixture("k4"), fixture("k4"), GlueSpec((0, 1, 2), (1, 2, 3)))
+        g = clique_glue(fixture("k4"), fixture("k4"), (0, 1, 2), (1, 2, 3))
         assert g.order == 5 and g.size == 9
 
     def test_non_clique_rejected(self):
         octa = fixture("octahedron")
         with pytest.raises(ValueError, match="clique_a: 0 and 3 are not adjacent"):
-            clique_glue(octa, octa, GlueSpec((0, 3), (0, 1)))
+            clique_glue(octa, octa, (0, 3), (0, 1))
 
     @pytest.mark.parametrize("clique, vertex", [((0, 1, -1), -1), ((0, 1, 9), 9), ((9, 0, 1), 9)])
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_vertex_outside_graph_named(self, side, clique, vertex):
         # the range is checked for every vertex before any adjacency test reads one
         octa = fixture("octahedron")
-        spec = GlueSpec(clique, (0, 1, 2)) if side == "a" else GlueSpec((0, 1, 2), clique)
+        cliques = (clique, (0, 1, 2)) if side == "a" else ((0, 1, 2), clique)
         with pytest.raises(ValueError, match=f"^clique_{side}: vertex {vertex} outside graph$"):
-            clique_glue(octa, octa, spec)
+            clique_glue(octa, octa, *cliques)
 
     def test_bad_spec_shapes(self):
+        # the shapes are checked before either clique is read in its graph
+        octa = fixture("octahedron")
         with pytest.raises(ValueError, match="clique tuples must have equal length"):
-            GlueSpec((0, 1), (0, 1, 2))
+            clique_glue(octa, octa, (0, 99), (0, 1, 2))
         with pytest.raises(ValueError, match="gluing is along K2, K3, or K4 only"):
-            GlueSpec((0,), (1,))
+            clique_glue(octa, octa, (99,), (1,))
         with pytest.raises(ValueError, match="clique tuples must not repeat vertices"):
-            GlueSpec((0, 0), (1, 2))
+            clique_glue(octa, octa, (0, 0), (1, 2))
 
     def test_gluing_preserves_missing_forest_cut(self):
         # triangulation-like operands with no forest cut keep none after gluing
         octa = fixture("octahedron")
-        spec3 = GlueSpec((0, 1, 2), (0, 1, 2))
-        pair = clique_glue(octa, octa, spec3)
+        pair = clique_glue(octa, octa, (0, 1, 2), (0, 1, 2))
         assert find_forest_cut_exhaustive(pair) is None
-        triple = clique_glue(pair, octa, GlueSpec((3, 4, 5), (0, 1, 2)))
+        triple = clique_glue(pair, octa, (3, 4, 5), (0, 1, 2))
         assert triple.order == 12 and triple.size == 3 * 12 - 6
         assert find_forest_cut_exhaustive(triple) is None
 
@@ -175,7 +175,7 @@ class TestCliqueGlue:
         from forestcut.planar import random_stacked_triangulation
 
         t5 = random_stacked_triangulation(5, 1).graph
-        g = clique_glue(t5, t5, GlueSpec((0, 1, 2, 3), (0, 1, 2, 3)))
+        g = clique_glue(t5, t5, (0, 1, 2, 3), (0, 1, 2, 3))
         assert g.order == 6 and g.size == 12 == 3 * g.order - 6
         assert find_forest_cut_exhaustive(g) is None
 

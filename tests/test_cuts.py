@@ -9,7 +9,6 @@ from conftest import components
 from forestcut import cuts
 from forestcut.constructions import (
     FIXTURE_NAMES,
-    GlueSpec,
     clique_glue,
     conjecture2_family,
     cycle_diagonals_universal,
@@ -349,8 +348,7 @@ class TestFindForestCut:
         assert witness_is_valid(g, w)
 
     def test_glued_octahedra_have_none(self):
-        spec = GlueSpec((0, 1, 2), (0, 1, 2))
-        g = clique_glue(fixture("octahedron"), fixture("octahedron"), spec)
+        g = clique_glue(fixture("octahedron"), fixture("octahedron"), (0, 1, 2), (0, 1, 2))
         assert g.order == 9 and g.size == 21
         assert find_forest_cut(g) is None
         assert find_forest_cut_exhaustive(g) is None

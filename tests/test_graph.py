@@ -73,6 +73,8 @@ class TestBuildGraph:
         g = k4()
         with pytest.raises(AttributeError, match="^cannot assign to field 'order'$"):
             g.order = 5
+        with pytest.raises(AttributeError, match="^cannot assign to field 'foo'$"):
+            g.foo = 1
         assert hash(g) == hash(build_graph(4, combinations(range(4), 2)))
         assert len({g, k4(), c4()}) == 2
         assert repr(g) == "Graph(order=4, m=6)"
@@ -533,7 +535,7 @@ class TestVertexConnectivity:
 def partition_row_holds(g):
     """Whether g's profile point satisfies the deg4-partition row."""
     report = check_feasible(build_primal(max(g.order, 8)), profile_point(g))
-    return report.row("deg4-partition").satisfied
+    return next(r.satisfied for r in report.rows if r.row_id == "deg4-partition")
 
 
 def split_counts(point):

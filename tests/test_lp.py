@@ -22,7 +22,6 @@ from forestcut.lp import (
     primal_optimum_point,
     profile_point,
     solve_primal_exact,
-    weak_duality_bound,
 )
 from forestcut.verify import audit_claim_inequalities
 
@@ -57,7 +56,6 @@ def eager_check_feasible(instance, point):
     num = {k: p.numerator * (scale // p.denominator) for k, p in distinct.items()}
     scaled = dict(zip(variables, map(num.__getitem__, map(id, values))))
     checks = []
-    new_check = tuple.__new__
     for r in instance.rows:
         lhs = 0
         for v, c in r.terms:
@@ -66,9 +64,15 @@ def eager_check_feasible(instance, point):
         relation = r.relation
         slack = lhs - rhs if relation == ">=" else rhs - lhs
         ok = slack == 0 if relation == "=" else slack >= 0
-        checks.append(new_check(RowCheck, (r.row_id, relation, r.rhs, ok, lhs, slack, r.den * scale)))
+        den = r.den * scale
+        checks.append(RowCheck(r.row_id, relation, F(lhs, den), r.rhs, F(slack, den), ok))
     bad_bounds = tuple(v for v in variables if v in instance.nonnegative and scaled[v] < 0)
     return tuple(checks), bad_bounds
+
+
+def rows_by_id(report):
+    """The report's RowChecks keyed by row id."""
+    return {c.row_id: c for c in report.rows}
 
 
 def fields_and_types(checks):
@@ -329,32 +333,28 @@ class TestCheckFeasible:
     def test_certificate_point_n20(self):
         report = check_feasible(build_dual(20), certificate_dual_point(20).assignment())
         assert report.feasible
-        assert report.row("n_4").slack == 0
-        assert report.row("n_5").slack == 0
-        assert report.row("n_6").slack == F(1, 35)
+        rows = rows_by_id(report)
+        assert rows["n_4"].slack == 0
+        assert rows["n_5"].slack == 0
+        assert rows["n_6"].slack == F(1, 35)
         # degree rows are tight at j=7 and open up linearly above it
         for j in range(7, 20):
-            assert report.row(f"n_{j}").slack == F(11, 35) * (j - 7)
+            assert rows[f"n_{j}"].slack == F(11, 35) * (j - 7)
         # the split rows stay tight at every j
         for j in range(7, 20):
-            assert report.row(f"n_4^{j}").slack == 0
-        assert report.row("n_4^5").slack == 0
-        assert report.row("n_4^6").slack == 0
-        assert report.row("n_4^6'").slack == 0
-        assert report.row("n_4^6''").slack == F(2, 35)
+            assert rows[f"n_4^{j}"].slack == 0
+        assert rows["n_4^5"].slack == 0
+        assert rows["n_4^6"].slack == 0
+        assert rows["n_4^6'"].slack == 0
+        assert rows["n_4^6''"].slack == F(2, 35)
 
     def test_zeroed_x4_violates_first_row(self):
         point = certificate_dual_point(12)
         moved = DualPoint(point.x1, point.x2, point.x3, F(0), point.y)
         report = check_feasible(build_dual(12), moved.assignment())
-        row = report.row("n_4")
+        row = rows_by_id(report)["n_4"]
         assert not row.satisfied
         assert row.lhs == F(71, 35)
-
-    def test_unknown_row_raises_key_error(self):
-        report = check_feasible(build_dual(9), certificate_dual_point(9).assignment())
-        with pytest.raises(KeyError, match="missing"):
-            report.row("missing")
 
     def test_zero_point_is_feasible(self):
         n = 10
@@ -439,7 +439,7 @@ class TestRowsMatchEagerLoop:
         assert not report.feasible
         assert report.bound_violations == ()
         assert [c.row_id for c in report.rows if not c.satisfied] == [failed]
-        assert report.row(failed).slack == slack
+        assert rows_by_id(report)[failed].slack == slack
 
 
 class TestRowsSequence:
@@ -455,6 +455,7 @@ class TestRowsSequence:
 
     def test_len_truth_and_indexing(self, report, eager):
         rows = report.rows
+        assert RowCheck._fields == ("row_id", "relation", "lhs", "rhs", "slack", "satisfied")
         assert len(rows) == len(eager) == 33
         assert rows
         assert not check_feasible(LpInstance("empty", "min", ("x",), {}, (), frozenset()),
@@ -475,10 +476,11 @@ class TestRowsSequence:
         assert eager[5] in report.rows and report.rows.index(eager[5]) == 5
 
     def test_row_by_id(self, report, eager):
+        rows = rows_by_id(report)
+        assert len(rows) == len(eager)  # the row ids are distinct
         for c in eager:
-            assert report.row(c.row_id) == c and type(report.row(c.row_id)) is RowCheck
-        with pytest.raises(KeyError, match="n_20"):
-            report.row("n_20")
+            assert rows[c.row_id] == c and type(rows[c.row_id]) is RowCheck
+        assert "n_20" not in rows
 
     def test_equal_reports_hash_pickle_and_copy(self, report):
         again = check_feasible(build_dual(20), certificate_dual_point(20).assignment())
@@ -517,23 +519,34 @@ class TestRowsSequence:
         assert peak < 160_000
 
 
+def certified_dual_bound(n):
+    """The dual objective n*x1 at the certificate, once the certificate is
+    checked dual feasible: a lower bound on the primal optimum."""
+    dual, point = build_dual(n), certificate_dual_point(n).assignment()
+    assert check_feasible(dual, point).feasible
+    return objective_value(dual, point)
+
+
 class TestWeakDuality:
     def test_bound_n10(self):
-        assert weak_duality_bound(10, certificate_dual_point(10)) == 22
+        assert certified_dual_bound(10) == 22
 
     def test_bound_n8(self):
-        assert weak_duality_bound(8, certificate_dual_point(8)) == F(88, 5)
+        assert certified_dual_bound(8) == F(88, 5)
 
     def test_doubling_n_doubles_bound(self):
-        assert weak_duality_bound(20, certificate_dual_point(20)) == 2 * weak_duality_bound(
-            10, certificate_dual_point(10)
-        )
+        assert certified_dual_bound(20) == 2 * certified_dual_bound(10)
 
-    def test_infeasible_certificate_rejected(self):
-        point = certificate_dual_point(9)
-        bad = DualPoint(F(3), point.x2, point.x3, point.x4, point.y)
-        with pytest.raises(ValueError, match="certificate violates"):
-            weak_duality_bound(9, bad)
+    def test_infeasible_certificate_rejected(self, monkeypatch):
+        def moved(n):
+            point = certificate_dual_point(n)
+            return DualPoint(F(3), point.x2, point.x3, point.x4, point.y)
+
+        monkeypatch.setattr(lp, "certificate_dual_point", moved)
+        with pytest.raises(
+            ValueError, match=r"certificate violates \['n_4', 'n_5', 'n_6', 'n_7', 'n_8'\]"
+        ):
+            solve_primal_exact(9)
 
 
 class TestSolvePrimalExact:
@@ -545,7 +558,7 @@ class TestSolvePrimalExact:
 
     @pytest.mark.parametrize("n", [8, 9, 12, 16])
     def test_at_least_certified_bound(self, n):
-        assert solve_primal_exact(n) >= weak_duality_bound(n, certificate_dual_point(n))
+        assert solve_primal_exact(n) >= certified_dual_bound(n)
 
     def test_range_rejected(self):
         with pytest.raises(ValueError, match="the program needs n >= 8, got 7") as exc:
@@ -706,4 +719,4 @@ class TestWeakDualityProperty:
         record = audit_claim_inequalities(g)
         assert not record.weighted_degree_row
         report = check_feasible(build_primal(g.order), profile_point(g))
-        assert not report.row("weighted-degree").satisfied
+        assert not rows_by_id(report)["weighted-degree"].satisfied

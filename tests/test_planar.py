@@ -26,9 +26,11 @@ from forestcut.planar import (
     random_stacked_triangulation,
     reroot,
     stack_vertex,
-    triangle_triangulation,
     write_rotation_system,
 )
+
+
+TRIANGLE = PlaneTriangulation(RotationSystem(((1, 2), (2, 0), (0, 1))), (0, 1, 2))
 
 
 def faces(system):
@@ -168,7 +170,7 @@ class TestFaces:
 
     def test_named_graphs_are_pinned(self):
         # labelled graph6, so a relabeling of a named triangulation shows
-        assert write_graph6(triangle_triangulation().graph) == "Bw"
+        assert write_graph6(TRIANGLE.graph) == "Bw"
         assert write_graph6(k4_triangulation().graph) == "C~"
 
     def test_transposed_rotation_breaks_euler(self):
@@ -239,7 +241,7 @@ class TestIsPlaneTriangulation:
         assert is_plane_triangulation(k4_triangulation().embedding)
 
     def test_triangle(self):
-        assert is_plane_triangulation(triangle_triangulation().embedding)
+        assert is_plane_triangulation(TRIANGLE.embedding)
 
 
 class TestStackVertex:
@@ -330,7 +332,7 @@ class TestStackVertex:
 
 class TestProp1ForestCut:
     def test_triangle_returns_apex(self):
-        cut = prop1_forest_cut(triangle_triangulation(), (0, 1))
+        cut = prop1_forest_cut(TRIANGLE, (0, 1))
         assert cut == 1 << 2
 
     def test_k4_returns_apex_and_fan_vertex(self):

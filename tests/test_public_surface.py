@@ -131,7 +131,6 @@ def test_one_reader_and_no_environment():
 # for a reason of its own
 UNCALLED_PUBLIC_NAMES = {
     "stack_vertex": "the test reference for random_stacked_triangulation",
-    "triangle_triangulation": "goes once planar.triangulate can build the triangle (ROADMAP direction 1)",
 }
 
 
@@ -154,6 +153,29 @@ def test_every_public_helper_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert defined - used == set(UNCALLED_PUBLIC_NAMES)
+
+
+def test_every_public_method_has_a_reader():
+    """Each public method or property in the body of a public class of the
+    package is read as an attribute (``x.name``) in src/ or perfbench/.  Only
+    attribute reads count, so a local variable of the same name does not
+    stand in for a method."""
+    package = sorted((ROOT / "src" / "forestcut").glob("*.py"))
+    defined = {
+        (cls.name, node.name)
+        for path in package
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+    read = {
+        node.attr
+        for path in package + sorted((ROOT / "perfbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    assert {f"{cls}.{name}" for cls, name in defined if name not in read} == set()
 
 
 def test_one_constructor_bypass():
