@@ -22,6 +22,7 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
     read_lines,
+    vertex_connectivity_at_least,
     write_edge_list,
     write_graph6,
 )
@@ -72,8 +73,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     density = verify.Density.parse(args.max_edges_lt) if args.max_edges_lt else None
+    k = args.min_connectivity
+    if k < 0:
+        raise ValueError(f"connectivity must be at least 0, got {k}")
     for g in verify.enumerate_connected_graphs(args.n):
-        if verify.sparse_k_connected(g, density, args.min_connectivity):
+        if (density is None or density.admits(g.order, g.size)) and vertex_connectivity_at_least(g, k):
             _emit_graph(g, args.format)
     return 0
 

@@ -351,9 +351,11 @@ def is_vertex_cut(g: Graph, s: int) -> bool:
 def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     """Brute-force k-connectivity test, meant for small k (at most ~5).
 
-    True when no set of fewer than k vertices, the empty set included, is a
-    vertex cut.  So a disconnected graph is not k-connected for any k, and
-    K_n is (n-1)-connected: removing at most n - 2 vertices leaves a clique.
+    The package's one definition of k-connected, for any integer k: more
+    than k vertices, and no vertex cut of fewer than k vertices, the empty
+    set included.  So k <= 0 asks nothing, an order <= k answers False, a
+    disconnected graph is not k-connected for any k >= 1, and K_n is
+    (n-1)-connected: removing at most n - 2 vertices leaves a clique.
 
     For k >= 2 a vertex v of degree below k answers at once: as k <= n - 1,
     v has a non-neighbour, and v is isolated in G - N(v), so N(v) is a cut
@@ -362,8 +364,8 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     and G - 0 is disconnected: the search starts at cut size 1.
     """
     n = g.order
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} outside 1..{n - 1}")
+    if k <= 0 or n <= k:  # nothing asked, or too few vertices
+        return k <= 0
     adj = g.adj
     if k >= 2 and min(map(int.bit_count, adj)) < k:
         return False

@@ -412,19 +412,19 @@ def solve_primal_exact(n: int) -> Fraction:
 
     ``primal_optimum_point(n)`` is feasible, so the optimum is at most its
     objective; ``certificate_dual_point(n)`` is dual feasible, so by weak
-    duality the optimum is at least n*x1.  Both are checked exactly here,
-    and the two bounds must meet.
+    duality the optimum is at least the dual objective there.  Both are
+    checked exactly here, and the two bounds must meet.
     """
     primal = build_primal(n)
     point = primal_optimum_point(n)
     report = check_feasible(primal, point)
     if not report.feasible:
         raise ValueError(f"primal point violates {_violations(report)}")
-    dual_point = certificate_dual_point(n)
-    report = check_feasible(build_dual(n), dual_point.assignment())
+    dual, dual_point = build_dual(n), certificate_dual_point(n).assignment()
+    report = check_feasible(dual, dual_point)
     if not report.feasible:
         raise ValueError(f"certificate violates {_violations(report)}")
-    bound = n * dual_point.x1
+    bound = objective_value(dual, dual_point)
     value = objective_value(primal, point)
     if value != bound:
         raise ValueError(f"primal objective {value} differs from the dual bound {bound}")

@@ -333,27 +333,15 @@ class Density:
         return cls(int(slope) * (c // slope_den), -b if sign == "-" else b, c)
 
 
-def sparse_k_connected(g: Graph, density: Density | None, k: int) -> bool:
-    """True when g is below ``density`` (if one is given) and k-connected.
-
-    k-connected means more than k vertices and no vertex cut of fewer than
-    k vertices; k = 0 asks nothing, so disconnected graphs pass it.
-    """
-    if k < 0:
-        raise ValueError(f"connectivity must be at least 0, got {k}")
-    if density is not None and not density.admits(g.order, g.size):
-        return False
-    return not k or (g.order > k and vertex_connectivity_at_least(g, k))
-
-
 @dataclass(frozen=True)
 class Claim:
     """A row of ``CLAIMS``: every graph of order at least ``min_order``, below
     ``density`` and ``min_connectivity``-connected satisfies ``holds``, and
     any such graph that does not is a counterexample.
 
-    A row asks for connectivity only where its source states it
-    (``theorem1``, ``conjecture2``).  A disconnected graph is scanned but
+    A row asks for connectivity, as ``vertex_connectivity_at_least`` defines
+    it, only where its source states it (``theorem1``, ``conjecture2``); the
+    others ask 0, which asks nothing.  A disconnected graph is scanned but
     never flagged: the other rows walk the separators, and on it the walk
     yields the empty set alone, which is independent and a forest.
     ``flags`` calls ``holds`` only on a graph of order at least
@@ -369,7 +357,8 @@ class Claim:
     def flags(self, g: Graph) -> bool:
         return (
             g.order >= self.min_order
-            and sparse_k_connected(g, self.density, self.min_connectivity)
+            and self.density.admits(g.order, g.size)
+            and vertex_connectivity_at_least(g, self.min_connectivity)
             and not self.holds(g)
         )
 
@@ -538,7 +527,7 @@ def audit_claim_inequalities(g: Graph) -> AuditRecord:
         if degs[v] == 5
     )
     return AuditRecord(
-        four_connected=sparse_k_connected(g, None, 4),
+        four_connected=vertex_connectivity_at_least(g, 4),
         **rows,
         neighborhood_degree_sums=nbhd_sums_ok,
         max_two_degree4_neighbors=claim4_ok,

@@ -1,6 +1,10 @@
+import codecs
 import hashlib
 import io
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -780,3 +784,46 @@ class TestWorkersEnvironment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: workers must be at least 1, got {workers}\n"
+
+
+def shell_pipeline(line: str) -> tuple[list[list[str]], str | None]:
+    """The stages of a ``a | b > FILE`` shell line, as argv lists, and FILE."""
+    lexer = shlex.shlex(line, posix=True, punctuation_chars="|>")
+    lexer.whitespace_split = True
+    tokens = iter(lexer)
+    stages, target = [[]], None
+    for token in tokens:
+        if token == "|":
+            stages.append([])
+        elif token == ">":
+            target = next(tokens)
+        else:
+            stages[-1].append(token)
+    return stages, target
+
+
+class TestReadmeTour:
+    def test_every_command_exits_0(self, capsys, monkeypatch, tmp_path):
+        # README's "Command-line tour", in order and in process: each stage's
+        # stdout is the next stage's stdin, printf gives literal stdin, and
+        # `> FILE` writes the last stdout to a file that later commands read
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^## Command-line tour\n\n```sh\n(.*?)^```$", readme, re.M | re.S)
+        assert block, "README has no Command-line tour block"
+        commands = [ln for ln in block[1].splitlines() if ln and not ln.startswith("#")]
+        assert commands
+        monkeypatch.chdir(tmp_path)
+        for command in commands:
+            stages, target = shell_pipeline(command)
+            stdin = ""
+            for argv in stages:
+                if argv[0] == "printf":
+                    stdin = codecs.decode(argv[1], "unicode_escape")
+                    continue
+                assert argv[0] == "forestcut", command
+                monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+                code = cli.run(argv[1:])
+                stdin, err = capsys.readouterr()
+                assert (code, err) == (0, ""), command
+            if target:
+                (tmp_path / target).write_text(stdin)

@@ -484,10 +484,10 @@ class TestVertexConnectivity:
     def test_complete_graphs(self):
         assert vertex_connectivity_at_least(k4(), 3)
 
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_k_outside_one_to_n_minus_one_rejected(self, k):
-        with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.3$"):
-            vertex_connectivity_at_least(k4(), k)
+    @pytest.mark.parametrize("k, expected", [(-1, True), (0, True), (4, False), (5, False)])
+    def test_k_outside_one_to_n_minus_one_answered(self, k, expected):
+        # k <= 0 asks nothing; an order <= k is not k-connected
+        assert vertex_connectivity_at_least(k4(), k) is expected
 
     def test_masks_larger_than_the_ground_set(self):
         assert list(masks_of_size(3, 4)) == []
@@ -519,17 +519,19 @@ class TestVertexConnectivity:
                                 expected = False
                 assert vertex_connectivity_at_least(g, k) == expected
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_networkx_node_connectivity(self, n):
-        # every graph of order n, connected or not, at every k, so the degree
-        # exit for k >= 2 and the search behind it both meet the oracle
+        # every graph of order n, connected or not, at every k from -1 to
+        # n + 1, so the degree exit for k >= 2, the search behind it and the
+        # answers outside 1..n-1 all meet the oracle
         nx = pytest.importorskip("networkx")
+        ks = range(-1, n + 2)
         for g in enumerate_graphs(n):
             h = nx.Graph(g.edges())
             h.add_nodes_from(range(n))
             kappa = nx.node_connectivity(h)
-            values = [vertex_connectivity_at_least(g, k) for k in range(1, n)]
-            assert values == [kappa >= k for k in range(1, n)]
+            values = [vertex_connectivity_at_least(g, k) for k in ks]
+            assert values == [k <= 0 or (n > k and kappa >= k) for k in ks]
 
 
 def partition_row_holds(g):

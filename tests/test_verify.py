@@ -18,6 +18,7 @@ from forestcut.graph import (
     is_connected,
     iter_bits,
     parse_graph6,
+    vertex_connectivity_at_least,
     write_graph6,
 )
 from forestcut.lp import build_primal
@@ -36,7 +37,6 @@ from forestcut.verify import (
     enumerate_graphs,
     ingest_graph6,
     run_check,
-    sparse_k_connected,
 )
 
 # counts of graphs and connected graphs per order, rederived below by a
@@ -581,7 +581,9 @@ def public_finder_flags(name: str, g: Graph) -> bool:
     """Whether claim ``name`` flags g, with each condition read from the
     public finders, which check connectivity again on entry."""
     claim = CLAIMS[name]
-    if g.order < claim.min_order or not sparse_k_connected(g, claim.density, STATED_CONNECTIVITY[name]):
+    if g.order < claim.min_order or not claim.density.admits(g.order, g.size):
+        return False
+    if not vertex_connectivity_at_least(g, STATED_CONNECTIVITY[name]):
         return False
     if name in ("conjecture1", "theorem2"):
         return find_forest_cut(g) is None
@@ -663,7 +665,9 @@ class TestTrustingClaimPath:
         theorem1 = CLAIMS["theorem1"]
         checked = 0
         for g in mixed_corpus():
-            if g.order < 3 or not sparse_k_connected(g, theorem1.density, 2):
+            if g.order < 3 or not theorem1.density.admits(g.order, g.size):
+                continue
+            if not vertex_connectivity_at_least(g, 2):
                 continue
             per_vertex = []
             for u in range(g.order):
