@@ -1,5 +1,9 @@
 import copy
+import operator
 import pickle
+import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -237,10 +241,10 @@ class TestBuildDual:
 
     def test_n6_row_comes_from_the_degree_family(self):
         row = build_dual(8).rows[2]
-        assert row is lp._dual_degree_row(6)
         literal = LpRow("n_6", {"x_1": F(1), "x_4": F(6), "y_6": F(6)}, "<=", F(3))
-        assert row == literal
-        assert (row.den, row.terms, row.rhs_num) == (literal.den, literal.terms, literal.rhs_num)
+        for again in (lp._dual_degree_row(6), literal):
+            assert row == again
+            assert (row.den, row.terms, row.rhs_num) == (again.den, again.terms, again.rhs_num)
 
     def test_rows_are_read_only(self):
         row = next(r for r in build_dual(9).rows if r.row_id == "n_7")
@@ -255,19 +259,81 @@ class TestBuildDual:
         coeffs["x"] = F(3)
         assert copied.coeffs == {"x": F(1, 2)} and copied.terms == (("x", 1),)
 
-    def test_shared_rows_equal_fresh_ones(self):
-        dual = build_dual(1000)
-        fresh = {}
-        for j in range(7, 1000):
-            for make in (lp._dual_degree_row, lp._dual_split_row):
-                row = make.__wrapped__(j)
-                fresh[row.row_id] = row
-        shared = [r for r in dual.rows if r.row_id in fresh]
-        assert len(shared) == 2 * 993
-        for row in shared:
-            again = fresh[row.row_id]
-            assert row == again
-            assert (row.den, row.terms, row.rhs_num) == (again.den, again.terms, again.rhs_num)
+    @staticmethod
+    def fresh_tables(monkeypatch):
+        """Start the shared dual tables over, as a new process has them."""
+        y_names, degree_rows, _ = lp._dual_tables
+        monkeypatch.setattr(lp, "_dual_tables", (y_names[:7], degree_rows[:1], ()))
+
+    def test_shared_rows_equal_fresh_ones(self, monkeypatch):
+        # any call order, from the tables a new process has
+        self.fresh_tables(monkeypatch)
+        orders = list(range(8, 201))
+        random.Random(36).shuffle(orders)
+        for n in orders + [1000, 9, 8]:
+            dual = build_dual(n)
+            rows = [
+                LpRow("n_4", {"x_1": F(1), "x_2": F(1), "x_4": F(-2)}, "<=", F(2)),
+                LpRow("n_5", {"x_1": F(1), "x_4": F(5), "y_5": F(4)}, "<=", F(5, 2)),
+                *map(lp._dual_degree_row, range(6, n)),
+                LpRow("n_4^5", {"x_2": F(-1), "y_5": F(-3)}, "<=", F(0)),
+                LpRow("n_4^6", {"x_2": F(-1), "x_3": F(1)}, "<=", F(0)),
+                *map(lp._dual_split_row, range(7, n)),
+                LpRow("n_4^6'", {"y_5": F(-1), "y_6": F(-1), "x_3": F(-1)}, "<=", F(0)),
+                LpRow("n_4^6''", {"y_6": F(-2), "x_3": F(-1)}, "<=", F(0)),
+            ]
+            assert dual.rows == tuple(rows)
+            assert [(r.den, r.terms, r.rhs_num) for r in dual.rows] == [
+                (r.den, r.terms, r.rhs_num) for r in rows
+            ]
+            variables = ("x_1", "x_2", "x_3", "x_4", *(f"y_{j}" for j in range(5, n)))
+            assert dual.variables == variables
+            assert dual.nonnegative == frozenset(variables[3:])
+            assert dual.objective == {"x_1": F(n)}
+
+    def test_rows_shared_across_orders(self, monkeypatch):
+        self.fresh_tables(monkeypatch)
+        small, large = build_dual(50), build_dual(900)
+        assert small.rows[36].row_id == "n_40"
+        assert small.rows[36] is next(r for r in large.rows if r.row_id == "n_40")
+        assert large.variables[: len(small.variables)] == small.variables
+        assert all(map(operator.is_, large.variables, small.variables))
+
+    def test_concurrent_growth_gives_whole_programs(self, monkeypatch):
+        self.fresh_tables(monkeypatch)
+        expected = {n: [r.row_id for r in build_dual(n).rows] for n in (8, 150, 300)}
+        self.fresh_tables(monkeypatch)
+        errors = []
+
+        def work(seed):
+            orders = [8, 150, 300] * 20
+            random.Random(seed).shuffle(orders)
+            for n in orders:
+                dual = build_dual(n)
+                if [r.row_id for r in dual.rows] != expected[n] or len(dual.variables) != n - 1:
+                    errors.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_two_bad_rows_name_the_first(self):
+        rows = (
+            LpRow("ok", {"x": F(1)}, "<=", F(0)),
+            LpRow("first", {"ghost": F(1)}, "<=", F(0)),
+            LpRow("second", {"x": F(1), "phantom": F(1)}, "<=", F(0)),
+        )
+        with pytest.raises(ValueError, match="^row 'first' references undeclared variables$"):
+            LpInstance("t", "min", ("x",), {}, rows, frozenset())
 
 
 class TestLpRow:
@@ -313,6 +379,21 @@ class TestCertificateDualPoint:
         assert point.y[6] == F(4, 35)
         assert point.y[9] == F(6, 35)
         assert set(point.y) == set(range(5, 12))
+
+    def test_assignment_names_each_y_by_its_key(self):
+        a, b = F(1, 3), F(2, 7)
+        assert DualPoint(F(1), F(2), F(3), F(4), {5: a, 9: b}).assignment() == {
+            "x_1": F(1), "x_2": F(2), "x_3": F(3), "x_4": F(4), "y_5": a, "y_9": b
+        }
+        for y in ({9: b, 5: a}, {-1: a, 20_000: b}, {}):
+            names = list(DualPoint(F(1), F(2), F(3), F(4), y).assignment())[4:]
+            assert names == [f"y_{j}" for j in y]
+
+    def test_assignment_shares_the_dual_names(self):
+        dual = build_dual(30)
+        names = list(certificate_dual_point(30).assignment())
+        assert names == list(dual.variables)
+        assert all(map(operator.is_, names, dual.variables))
 
 
 class TestPrimalOptimumPoint:
@@ -371,6 +452,10 @@ class TestCheckFeasible:
         del point["x_2"]  # the first missing variable in the program's order
         with pytest.raises(ValueError, match="point is missing variable 'x_2'"):
             check_feasible(build_dual(9), point)
+
+    def test_objective_of_point_missing_a_variable(self):
+        with pytest.raises(ValueError, match="^point is missing variable 'x_1'$"):
+            objective_value(build_dual(8), {})
 
     def test_negative_bound_flagged(self):
         point = certificate_dual_point(9)
@@ -609,6 +694,17 @@ class TestSolvePrimalExact:
         monkeypatch.setattr(lp, "primal_optimum_point", all_top_degree)
         with pytest.raises(ValueError, match="primal objective 36 differs from the dual bound 99/5"):
             solve_primal_exact(9)
+
+    def test_unknown_sense_rejected(self):
+        for sense in ("maximize", "MIN", ""):
+            with pytest.raises(ValueError, match=f"^sense {sense!r}; use 'min' or 'max'$"):
+                LpInstance("t", sense, ("a",), {"a": F(1)}, (), frozenset())
+
+    def test_undeclared_nonnegative_variable_rejected(self):
+        with pytest.raises(ValueError, match="^nonnegative variable 'zz' is not declared$"):
+            LpInstance("t", "max", ("a",), {"a": F(1)}, (), frozenset({"zz"}))
+        with pytest.raises(ValueError, match="^nonnegative variable 'b' is not declared$"):
+            LpInstance("t", "max", ("a",), {}, (), frozenset({"a", "c", "b"}))
 
     def test_undeclared_variable_rejected(self):
         from forestcut.lp import LpInstance, LpRow
