@@ -22,9 +22,7 @@ sides and slack.
 The dual is built once per process, not once per n.  Its rows that every n
 has are module constants, and its y_j names, n_j rows and n_4^j rows are
 kept in shared tables that grow to the largest n asked for; build_dual(n)
-joins the constants with a prefix of each table.  LpInstance checks that
-every row uses only declared variables in one pass over all the rows'
-variables, and reads the rows one by one only to name a bad row.
+joins the constants with a prefix of each table.
 """
 
 from __future__ import annotations
@@ -32,10 +30,10 @@ from __future__ import annotations
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import compress
 from math import lcm
-from operator import attrgetter, index, mul
-from sys import intern
+from operator import index, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -102,16 +100,14 @@ class LpInstance:
         declared = frozenset(self.variables)
         if not declared.issuperset(self.objective):
             raise ValueError("objective references undeclared variables")
-        # one pass over every row's variables; the rows are searched only to
-        # name the first bad one
-        if not declared.issuperset(chain.from_iterable(map(attrgetter("coeffs"), self.rows))):
-            bad = next(r for r in self.rows if not declared.issuperset(r.coeffs))
+        bad = next((r for r in self.rows if not declared.issuperset(r.coeffs)), None)
+        if bad is not None:
             raise ValueError(f"row {bad.row_id!r} references undeclared variables")
         if not declared.issuperset(self.nonnegative):
             raise ValueError(f"nonnegative variable {min(self.nonnegative - declared)!r} is not declared")
 
 
-# The programs grow linearly in n: lp --n 10000 takes about 0.45 s and 35 MB
+# The programs grow linearly in n: lp --n 10000 takes about 0.45 s and 36 MB
 # peak RSS (CPython 3.11 on a 2-core machine), so a much larger n could
 # exhaust memory.
 _MAX_N = 10_000
@@ -214,10 +210,13 @@ def profile_point(g: Graph) -> dict[str, int]:
     return point
 
 
+# Cached because formatting a name costs more than the lookup, and so that
+# the rows, the dual's variables and a DualPoint's assignment share one
+# string per name.
+@lru_cache(maxsize=None)
 def _y_name(j: int) -> str:
-    """The dual variable of ``deg{j}-capacity``, interned so that the rows,
-    the dual's variables and a DualPoint's assignment share one string."""
-    return intern(f"y_{j}")
+    """The dual variable of ``deg{j}-capacity``."""
+    return f"y_{j}"
 
 
 def _dual_degree_row(j: int) -> LpRow:
@@ -304,11 +303,7 @@ class DualPoint:
 
     def assignment(self) -> dict[str, Fraction]:
         out = {"x_1": self.x1, "x_2": self.x2, "x_3": self.x3, "x_4": self.x4}
-        y, names = self.y, _dual_tables[0]
-        # each y_j is named by its key j, from the duals' shared names when
-        # every key is within them
-        in_table = 0 <= min(y, default=0) and max(y, default=0) < len(names)
-        out.update(zip(map(names.__getitem__ if in_table else _y_name, y), y.values()))
+        out.update(zip(map(_y_name, self.y), self.y.values()))
         return out
 
 

@@ -241,6 +241,7 @@ class TestBuildDual:
 
     def test_n6_row_comes_from_the_degree_family(self):
         row = build_dual(8).rows[2]
+        assert row is lp._dual_tables[1][0]
         literal = LpRow("n_6", {"x_1": F(1), "x_4": F(6), "y_6": F(6)}, "<=", F(3))
         for again in (lp._dual_degree_row(6), literal):
             assert row == again

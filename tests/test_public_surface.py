@@ -244,6 +244,25 @@ def test_one_order_check():
     assert found == {"lp.py:_check_order"}
 
 
+def test_one_degree_row_family():
+    """Every dual ``n_j`` row from j = 6 on, ``n_6`` included, is built by
+    ``lp._dual_degree_row``: lp.py spells only ``n_4`` and ``n_5`` as literal
+    row ids, and only that factory formats an ``n_{j}`` id."""
+    tree = ast.parse((ROOT / "src" / "forestcut" / "lp.py").read_text())
+    names = enclosing_names(tree)
+    literal, formatted = set(), set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LpRow"):
+            continue
+        row_id = node.args[0]
+        if isinstance(row_id, ast.Constant) and re.fullmatch(r"n_\d+", row_id.value):
+            literal.add(row_id.value)
+        elif isinstance(row_id, ast.JoinedStr) and ast.unparse(row_id).startswith("f'n_{"):
+            formatted.add(names[id(node)])
+    assert literal == {"n_4", "n_5"}
+    assert formatted == {"_dual_degree_row"}
+
+
 def test_hand_written_equality_only_in_graph():
     """Of ``__eq__``, ``__hash__``, ``__repr__`` and ``__setattr__`` only
     ``graph.Graph``'s compact ``__repr__`` is written by hand; every class
