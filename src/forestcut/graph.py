@@ -11,6 +11,7 @@ import io
 import re
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 128
@@ -19,9 +20,15 @@ MAX_ORDER = 128
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 _ASCII_TOKEN = re.compile(f"[^{_ASCII_WHITESPACE}]+")
 
-# graph6 data byte -> its six bits, most significant first, and back
-_SIX_BITS = {byte: format(byte - 63, "06b") for byte in range(63, 127)}
-_SIX_BITS.update({bits: chr(byte) for byte, bits in _SIX_BITS.items()})
+# six bits, most significant first -> their graph6 data byte, and a data
+# byte -> its six bits as "\x00"/"\x01" flags, for itertools.compress
+_SIX_BITS = {format(v, "06b"): chr(63 + v) for v in range(64)}
+_SIX_FLAGS = {ord(ch): bits.translate({48: 0, 49: 1}) for bits, ch in _SIX_BITS.items()}
+
+# (i, 1 << j, j, 1 << i) for each pair i < j in graph6 order: column
+# j = 1, 2, ..., each holding rows i < j, so order n reads the first
+# n(n-1)/2 pairs.  Grown on demand by _graph6_pairs_for.
+_graph6_pairs: tuple[tuple[int, int, int, int], ...] = ()
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -132,7 +139,8 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def write_graph6(g: Graph) -> str:
     """Encode in standard graph6: the short form up to order 62, and above
     it the long form, ``~`` then the order in three 6-bit bytes.  The body
-    is the column word ``parse_graph6`` reads, six bits to a byte."""
+    is the column word, whose bit j(j-1)/2 + i is the pair (i, j), i < j,
+    written from its lowest bit up, six bits to a byte."""
     n = g.order
     if n > 62:
         head = "~" + chr(63 + (n >> 12)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
@@ -146,9 +154,29 @@ def write_graph6(g: Graph) -> str:
     return head + "".join(_SIX_BITS[bits[k:k + 6]] for k in range(0, nbits, 6))
 
 
+def _graph6_pairs_for(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The shared pair table, grown to cover order n when it does not yet.
+
+    A grown table is built in full and then bound in one assignment, so a
+    concurrent caller reads either the old table or the new one, each whole.
+    """
+    global _graph6_pairs
+    pairs = _graph6_pairs
+    if len(pairs) < n * (n - 1) // 2:
+        start = pairs[-1][2] + 1 if pairs else 1
+        pairs = _graph6_pairs = pairs + tuple(
+            (i, 1 << j, j, 1 << i) for j in range(start, n) for i in range(j)
+        )
+    return pairs
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line, in the short form or, for orders 63..128, the
     long form.
+
+    The body becomes six flags per byte, and the first n(n-1)/2 of them
+    pick the set pairs from the shared pair table; each set pair ORs its
+    two bits into the rows.  The padding flags after them are ignored.
 
     graph6 is ASCII, so only ASCII whitespace around the line is ignored; a
     non-ASCII space stays in the line and fails it.
@@ -167,28 +195,18 @@ def parse_graph6(text: str) -> Graph:
         body = line[1:]
     if n < 1:
         raise ValueError("graph6 order 0 not representable here")
-    want = (n * (n - 1) // 2 + 5) // 6
+    npairs = n * (n - 1) // 2
+    want = (npairs + 5) // 6
     if len(body) != want:
         raise ValueError(f"expected {want} data bytes, got {len(body)}")
-    bits = body.translate(_SIX_BITS)
-    if len(bits) != 6 * want:  # a byte outside the table stays one character
-        bad = next(ch for ch in body if ord(ch) not in _SIX_BITS)
+    flags = body.translate(_SIX_FLAGS)
+    if len(flags) != 6 * want:  # a byte outside the table stays one character
+        bad = next(ch for ch in body if ord(ch) not in _SIX_FLAGS)
         raise ValueError(f"data byte {ord(bad)} outside 63..126")
-    # The bits run column j = 1, 2, ..., each holding rows i < j.  Reversed,
-    # they read as one int whose bit j(j-1)/2 + i is the pair (i, j), so each
-    # column is the low j bits of what the earlier columns leave.
-    word = int(bits[::-1] or "0", 2)
     adj = [0] * n
-    for j in range(1, n):
-        col = word & ((1 << j) - 1)
-        word >>= j
-        if col:
-            adj[j] = col  # the columns after j add only bits above j
-            bit = 1 << j
-            while col:
-                low = col & -col
-                adj[low.bit_length() - 1] |= bit
-                col ^= low
+    for i, bit_j, j, bit_i in compress(_graph6_pairs_for(n), flags[:npairs].encode()):
+        adj[i] |= bit_j
+        adj[j] |= bit_i
     return Graph._trusted(n, adj)
 
 

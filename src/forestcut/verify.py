@@ -342,8 +342,8 @@ class Claim:
     A row asks for connectivity, as ``vertex_connectivity_at_least`` defines
     it, only where its source states it (``theorem1``, ``conjecture2``); the
     others ask 0, which asks nothing.  A disconnected graph is scanned but
-    never flagged: the other rows walk the separators, and on it the walk
-    yields the empty set alone, which is independent and a forest.
+    never flagged: the other rows end in a separator walk, and on it the
+    walk yields the empty set alone, which is independent and a forest.
     ``flags`` calls ``holds`` only on a graph of order at least
     ``min_order`` >= 3, so ``holds`` walks the separators without the
     finders' own entry check.
@@ -364,11 +364,23 @@ class Claim:
 
 
 def _has_forest_cut(g: Graph) -> bool:
-    return any(induced_is_forest(g, s) for s, _ in _minimal_separators(g))
+    """True when g has a forest cut.  N(v) is one when it induces a forest
+    and N[v] != V, as v is isolated in G - N(v) and G - N[v] is not empty;
+    the separators are walked only when no neighbourhood is one."""
+    full = g.vertex_mask
+    return any(
+        row | 1 << v != full and induced_is_forest(g, row) for v, row in enumerate(g.adj)
+    ) or any(induced_is_forest(g, s) for s, _ in _minimal_separators(g))
 
 
 def _has_independent_cut(g: Graph) -> bool:
-    return any(is_independent_set(g, s) for s, _ in _minimal_separators(g))
+    """True when g has an independent cut.  N(v) is one when it is
+    independent and N[v] != V, as v is isolated in G - N(v) and G - N[v] is
+    not empty; the separators are walked only when no neighbourhood is one."""
+    full = g.vertex_mask
+    return any(
+        row | 1 << v != full and is_independent_set(g, row) for v, row in enumerate(g.adj)
+    ) or any(is_independent_set(g, s) for s, _ in _minimal_separators(g))
 
 
 def _every_vertex_avoidable(g: Graph) -> bool:

@@ -6,7 +6,7 @@ from itertools import chain, combinations
 import pytest
 
 from conftest import components
-from forestcut import cuts
+from forestcut import cuts, verify
 from forestcut.constructions import (
     FIXTURE_NAMES,
     clique_glue,
@@ -685,3 +685,42 @@ class TestTheorem1Empirical:
                     assert witness_is_valid(g, w)
                 checked += 1
         assert checked > 50
+
+
+def walk_only(accepts):
+    """Reference for the claim predicates: their earlier body, which walked
+    the separators from the start."""
+    return lambda g: any(accepts(g, s) for s, _ in _minimal_separators(g))
+
+
+CLAIM_PREDICATES = [
+    (verify._has_forest_cut, induced_is_forest, brute_has_forest_cut),
+    (verify._has_independent_cut, is_independent_set, brute_has_independent_cut),
+]
+
+
+class TestClaimPredicatesTryNeighbourhoodsFirst:
+    """``_has_forest_cut`` and ``_has_independent_cut`` answer from a
+    neighbourhood N(v) with N[v] != V before they walk; the boolean is the
+    walk's."""
+
+    @pytest.mark.parametrize("predicate, accepts, brute", CLAIM_PREDICATES,
+                             ids=["forest", "independent"])
+    def test_every_graph_of_order_3_to_7(self, predicate, accepts, brute):
+        reference = walk_only(accepts)
+        disconnected = 0
+        for n in range(3, 8):
+            for g in enumerate_graphs(n):
+                assert predicate(g) == reference(g) == brute(g), write_graph6(g)
+                disconnected += not is_connected(g)
+        assert disconnected > 100
+
+    @pytest.mark.parametrize("predicate", [verify._has_forest_cut, verify._has_independent_cut],
+                             ids=["forest", "independent"])
+    def test_complete_graphs_have_no_cut(self, predicate):
+        # each neighbourhood of K_3 is a forest, and of K_2 independent, but
+        # N[v] = V leaves nothing for N(v) to separate
+        k3 = build_graph(3, [(0, 1), (0, 2), (1, 2)])
+        assert all(induced_is_forest(k3, row) for row in k3.adj)
+        for n in range(1, 7):
+            assert not predicate(build_graph(n, combinations(range(n), 2)))

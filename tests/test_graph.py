@@ -3,12 +3,15 @@ import importlib.util
 import pickle
 import random
 import re
+import sys
+import threading
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from conftest import assert_validated, components
+from forestcut import graph
 from forestcut.constructions import conjecture2_family, fixture
 from forestcut.graph import (
     Graph,
@@ -19,6 +22,7 @@ from forestcut.graph import (
     induced_subgraph,
     induced_is_forest,
     is_vertex_cut,
+    iter_bits,
     masks_of_size,
     parse_edge_list,
     parse_graph6,
@@ -232,6 +236,28 @@ def bitwise_write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def column_word_decode(line):
+    """Reference for ``parse_graph6`` on a well-formed line: its earlier
+    decode, which read the body as one int whose bit j(j-1)/2 + i is the pair
+    (i, j), took each column j as the low j bits of what the earlier columns
+    left, and filled the symmetric half per edge."""
+    if line[0] == "~":
+        n = (ord(line[1]) - 63) << 12 | (ord(line[2]) - 63) << 6 | ord(line[3]) - 63
+        body = line[4:]
+    else:
+        n = ord(line[0]) - 63
+        body = line[1:]
+    word = int("".join(format(ord(ch) - 63, "06b") for ch in body)[::-1] or "0", 2)
+    adj = [0] * n
+    for j in range(1, n):
+        col = word & ((1 << j) - 1)
+        word >>= j
+        adj[j] |= col
+        for i in iter_bits(col):
+            adj[i] |= 1 << j
+    return Graph(n, adj)
+
+
 def perfbench_corpus_lines(seed: int) -> list[str]:
     """The graph6 lines of the benchmark's corpus-sweep input for ``seed``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -256,6 +282,13 @@ def random_graph6_lines(seed: int) -> list[str]:
     return lines
 
 
+def random_graph6_line(n, rng):
+    """A graph6 line of order n with uniformly random data bytes, so the
+    padding bits are random too."""
+    head = chr(63 + n) if n <= 62 else "~?" + chr(63 + (n >> 6)) + chr(63 + (n & 63))
+    return head + "".join(chr(rng.randrange(63, 127)) for _ in range((n * (n - 1) // 2 + 5) // 6))
+
+
 def parse_outcome(parse, line: str):
     try:
         return parse(line)
@@ -264,14 +297,40 @@ def parse_outcome(parse, line: str):
 
 
 class TestColumnwiseDecode:
-    """parse_graph6 reads a column of the adjacency matrix at a time; it
-    must decode and refuse every line exactly as the pair-at-a-time loop."""
+    """parse_graph6 picks the set pairs from one shared pair table; it must
+    decode and refuse every line exactly as the pair-at-a-time loop, and
+    decode every line as the column-word loop it replaced."""
 
     def test_every_graph_up_to_order_7(self):
         for n in range(1, 8):
             for g in enumerate_graphs(n):
                 line = write_graph6(g)
                 assert parse_graph6(line) == bitwise_parse_graph6(line) == g
+                assert column_word_decode(line) == g
+
+    def test_seeded_random_lines_of_orders_10_to_24(self):
+        rng = random.Random(37)
+        for _ in range(2000):
+            line = random_graph6_line(rng.randrange(10, 25), rng)
+            decoded = parse_graph6(line)
+            assert_validated(decoded)
+            assert decoded == column_word_decode(line)
+
+    def test_padding_bits_are_ignored(self):
+        k3 = build_graph(3, [(0, 1), (0, 2), (1, 2)])
+        assert parse_graph6("B~") == column_word_decode("B~") == parse_graph6("Bw") == k3
+        # order 5: ten pairs, so the second byte ends in two padding bits
+        assert parse_graph6("D~~") == column_word_decode("D~~") == parse_graph6("D~{")
+
+    @pytest.mark.parametrize("orders", [(128, 10), (10, 128)])
+    def test_table_growth_order_cannot_matter(self, orders, monkeypatch):
+        monkeypatch.setattr(graph, "_graph6_pairs", ())
+        rng = random.Random(sum(orders))
+        lines = {n: random_graph6_line(n, rng) for n in (10, 128)}
+        for n in orders:
+            assert parse_graph6(lines[n]) == column_word_decode(lines[n])
+        assert len(graph._graph6_pairs) == 128 * 127 // 2
+        assert parse_graph6(lines[orders[0]]) == column_word_decode(lines[orders[0]])
 
     def test_perfbench_corpus(self):
         lines = perfbench_corpus_lines(7)
@@ -286,7 +345,7 @@ class TestColumnwiseDecode:
         assert "@" in lines  # n = 1 has an empty body
         for line in lines:
             assert_validated(parse_graph6(line))
-            assert parse_graph6(line) == bitwise_parse_graph6(line)
+            assert parse_graph6(line) == bitwise_parse_graph6(line) == column_word_decode(line)
 
     @pytest.mark.parametrize("line", [
         "Bw", "C~", "DQc", "G?B@`_", "IhC?GC@?G",
@@ -300,6 +359,33 @@ class TestColumnwiseDecode:
                 got = parse_outcome(parse_graph6, spoilt)
                 assert isinstance(got, str)
                 assert got == parse_outcome(bitwise_parse_graph6, spoilt)
+
+    def test_concurrent_growth_gives_whole_decodes(self, monkeypatch):
+        rng = random.Random(7)
+        lines = [random_graph6_line(n, rng) for n in (10, 40, 90, 128)]
+        expected = [column_word_decode(line) for line in lines]
+        monkeypatch.setattr(graph, "_graph6_pairs", ())
+        errors = []
+
+        def work(seed):
+            picks = list(range(len(lines))) * 10
+            random.Random(seed).shuffle(picks)
+            for k in picks:
+                if parse_graph6(lines[k]) != expected[k]:
+                    errors.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     def test_first_bad_byte_is_named(self):
         with pytest.raises(ValueError, match="data byte 127 outside 63..126"):

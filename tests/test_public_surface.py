@@ -99,6 +99,25 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out[1] == "[]"
 
 
+def test_lp_command_builds_no_graph6_pair_table():
+    # parse_graph6 grows the table on demand, so a run that reads no graph6
+    # builds none of it
+    probe = (
+        "import forestcut; from forestcut import cli, graph; "
+        "code = cli.run(['lp', '--n', '64', '--solve']); "
+        "print(code, graph._graph6_pairs)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[-1] == "0 ()"
+
+
 # names whose use opens a path, reads stdin or reads the environment
 READER_NAMES = {"open", "input", "io.open", "os.open", "sys.stdin", "sys.__stdin__"}
 ENVIRONMENT_NAMES = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
